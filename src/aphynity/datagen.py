@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .integrators import BlowUpError, StateSpec, Trajectory, dopri5, euler_fine, rk4_step
+from .integrators import BlowUpError, StateSpec, dopri5, euler_fine, rk4_step
 from .physics import laplacian_np
 
 __all__ = [
@@ -80,9 +80,6 @@ class Dataset:
     @property
     def n_steps(self) -> int:
         return self.trajectories.shape[1] - 1
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.spec, self.dt, self.trajectories[i])
 
     def all_states(self) -> np.ndarray:
         return self.trajectories.reshape(-1, *self.spec.shape)

@@ -15,7 +15,7 @@ from .tensor import Tensor, grad_enabled
 __all__ = [
     "add", "sub", "mul", "smul", "affine", "relu", "sin", "square", "sqrt",
     "softplus", "sum_all", "mean_all", "narrow", "concat", "reshape",
-    "pad2d", "conv2d", "conv3x3_valid", "batchnorm2d",
+    "pad2d", "conv2d", "batchnorm2d", "laplacian",
 ]
 
 
@@ -204,84 +204,68 @@ def reshape(x, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # 2-D convolution machinery (3x3 kernels, stride 1)
 
-_PAD_MODES = {"zero": "constant", "circular": "wrap", "replicate": "edge"}
-
-
-def _pad_np(x: np.ndarray, mode: str) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode=_PAD_MODES[mode])
+_PAD_MODES = {"zero": "constant", "circular": "wrap"}
 
 
 def _pad_fold(g: np.ndarray, mode: str) -> np.ndarray:
-    """Adjoint of 1-pixel padding: crop, then route pad-strip gradients home."""
-    core = np.ascontiguousarray(g[:, :, 1:-1, 1:-1])
-    if mode == "zero":
-        return core
+    """Adjoint of 1-pixel padding: route wrapped strips home, then crop."""
     if mode == "circular":
-        core[:, :, -1, :] += g[:, :, 0, 1:-1]
-        core[:, :, 0, :] += g[:, :, -1, 1:-1]
-        core[:, :, :, -1] += g[:, :, 1:-1, 0]
-        core[:, :, :, 0] += g[:, :, 1:-1, -1]
-        core[:, :, -1, -1] += g[:, :, 0, 0]
-        core[:, :, -1, 0] += g[:, :, 0, -1]
-        core[:, :, 0, -1] += g[:, :, -1, 0]
-        core[:, :, 0, 0] += g[:, :, -1, -1]
-        return core
-    if mode == "replicate":
-        core[:, :, 0, :] += g[:, :, 0, 1:-1]
-        core[:, :, -1, :] += g[:, :, -1, 1:-1]
-        core[:, :, :, 0] += g[:, :, 1:-1, 0]
-        core[:, :, :, -1] += g[:, :, 1:-1, -1]
-        core[:, :, 0, 0] += g[:, :, 0, 0]
-        core[:, :, 0, -1] += g[:, :, 0, -1]
-        core[:, :, -1, 0] += g[:, :, -1, 0]
-        core[:, :, -1, -1] += g[:, :, -1, -1]
-        return core
-    raise ValueError(f"unknown padding mode {mode!r}")
+        g = g.copy()
+        g[:, :, :, -2] += g[:, :, :, 0]
+        g[:, :, :, 1] += g[:, :, :, -1]
+        g[:, :, -2, :] += g[:, :, 0, :]
+        g[:, :, 1, :] += g[:, :, -1, :]
+    return np.ascontiguousarray(g[:, :, 1:-1, 1:-1])
 
 
 def pad2d(x, mode: str) -> Tensor:
-    """1-pixel spatial padding of a (B, C, H, W) tensor."""
+    """1-pixel spatial padding of a (B, C, H, W) tensor: zeros or a circular wrap."""
     if mode not in _PAD_MODES:
         raise ValueError(f"unknown padding mode {mode!r}")
     x = _wrap(x)
     if x.values.ndim != 4:
         raise ValueError("pad2d expects a (B, C, H, W) tensor")
-    out = _pad_np(x.values, mode)
+    out = np.pad(x.values, ((0, 0), (0, 0), (1, 1), (1, 1)), mode=_PAD_MODES[mode])
     return _node(out, [(x, lambda g: _pad_fold(g, mode))])
 
 
-def _im2col3(xp: np.ndarray) -> np.ndarray:
-    # (B, C, H+2, W+2) -> (B*H*W, C*9) patch matrix
-    b, c, hp, wp = xp.shape
-    h, w = hp - 2, wp - 2
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * 9)
-    return np.ascontiguousarray(cols)
+def _conv3x3(xp: Tensor, kernel: Tensor, bias) -> Tensor:
+    """Valid 3x3 convolution of a padded (B, C, H+2, W+2) tensor as nine shifted matmuls.
 
-
-def _conv3x3_valid_np(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
-    b, c, hp, wp = xp.shape
-    h, w = hp - 2, wp - 2
-    o = k.shape[0]
-    out = _im2col3(xp) @ k.reshape(o, c * 9).T
-    return np.ascontiguousarray(out.reshape(b, h, w, o).transpose(0, 3, 1, 2))
-
-
-def _conv3x3_valid(xp: Tensor, kernel: Tensor, bias) -> Tensor:
+    Rows are flattened at the padded width ``wp``, so tap (di, dj) reads the
+    window of ``span`` entries starting at ``di * wp + dj``.  Each output row
+    then carries two junk columns: the forward pass drops them and the VJPs
+    hold them at zero.
+    """
     xv, kv = xp.values, kernel.values
-    out = _conv3x3_valid_np(xv, kv)
+    b, c, hp, wp = xv.shape
+    o, h, w = kv.shape[0], hp - 2, wp - 2
+    span = (h - 1) * wp + w
+    taps = [(di, dj, di * wp + dj) for di in range(3) for dj in range(3)]
+    xf = np.ascontiguousarray(xv).reshape(b, c, hp * wp)
+    acc = np.zeros((b, o, h * wp))
+    for di, dj, off in taps:
+        acc[:, :, :span] += kv[:, :, di, dj] @ xf[:, :, off:off + span]
+    out = np.ascontiguousarray(acc.reshape(b, o, h, wp)[:, :, :, :w])
+
+    def flat_rows(g):
+        gw = np.zeros((b, o, h, wp))
+        gw[:, :, :, :w] = g
+        return gw.reshape(b, o, h * wp)[:, :, :span]
 
     def vjp_x(g):
-        # adjoint of valid conv = full conv with the flipped, channel-swapped kernel
-        krot = np.ascontiguousarray(kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        gp = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
-        return _conv3x3_valid_np(gp, krot)
+        gf = flat_rows(g)
+        gx = np.zeros((b, c, hp * wp))
+        for di, dj, off in taps:
+            gx[:, :, off:off + span] += kv[:, :, di, dj].T @ gf
+        return gx.reshape(xv.shape)
 
     def vjp_k(g):
-        b, o, h, w = g.shape
-        gmat = g.transpose(0, 2, 3, 1).reshape(b * h * w, o)
-        gk = _im2col3(xv).T @ gmat  # (C*9, O)
-        return np.ascontiguousarray(gk.T.reshape(kv.shape))
+        gf = flat_rows(g)
+        gk = np.empty_like(kv)
+        for di, dj, off in taps:
+            gk[:, :, di, dj] = (gf @ xf[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+        return gk
 
     edges = [(xp, vjp_x), (kernel, vjp_k)]
     if bias is not None:
@@ -290,51 +274,60 @@ def _conv3x3_valid(xp: Tensor, kernel: Tensor, bias) -> Tensor:
     return _node(out, edges)
 
 
-def conv3x3_valid(xp, kernel, bias=None) -> Tensor:
-    """Valid-mode 3x3 convolution on an already padded (B, C, H+2, W+2) tensor.
-
-    ``conv2d`` composes this with :func:`pad2d`; callers needing a padding
-    mode outside conv2d's contract (edge replication for Neumann boundaries)
-    pad explicitly and use this directly.
-    """
-    xp, kernel = _wrap(xp), _wrap(kernel)
-    if bias is not None:
-        bias = _wrap(bias)
-    if xp.values.ndim != 4:
-        raise ValueError("conv3x3_valid expects a (B, C, H+2, W+2) tensor")
-    kv = kernel.values
-    if kv.ndim != 4 or kv.shape[2:] != (3, 3) or kv.shape[1] != xp.values.shape[1]:
-        raise ValueError(f"bad kernel shape {kv.shape} for input {xp.values.shape}")
-    return _conv3x3_valid(xp, kernel, bias)
-
-
 def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
     """Shape-preserving 3x3 convolution.
 
-    ``x`` is (B, c_in, H, W) or an unbatched (c_in, H, W); ``kernel`` is
-    (c_out, c_in, 3, 3).  Padding is one pixel of zeros or a circular wrap.
+    ``x`` is (B, c_in, H, W) and ``kernel`` is (c_out, c_in, 3, 3).  Padding
+    is one pixel of zeros or a circular wrap (see :func:`pad2d`).
     """
-    if padding not in ("zero", "circular"):
-        raise ValueError(f"conv2d padding must be 'zero' or 'circular', got {padding!r}")
     x, kernel = _wrap(x), _wrap(kernel)
     if bias is not None:
         bias = _wrap(bias)
     kv = kernel.values
     if kv.ndim != 4 or kv.shape[2:] != (3, 3):
         raise ValueError(f"conv2d supports 3x3 kernels only, got {kv.shape}")
-    unbatched = x.values.ndim == 3
-    if unbatched:
-        x = reshape(x, (1, *x.values.shape))
     if x.values.ndim != 4:
         raise ValueError(f"conv2d expects (B, c_in, H, W) input, got {x.values.shape}")
     if x.values.shape[1] != kv.shape[1]:
         raise ValueError(f"conv2d channel mismatch: input {x.values.shape[1]}, kernel {kv.shape[1]}")
     if x.values.shape[2] < 3 or x.values.shape[3] < 3:
         raise ValueError("conv2d requires H, W >= 3")
-    out = _conv3x3_valid(pad2d(x, padding), kernel, bias)
-    if unbatched:
-        out = reshape(out, out.values.shape[1:])
-    return out
+    return _conv3x3(pad2d(x, padding), kernel, bias)
+
+
+# ---------------------------------------------------------------------------
+# 5-point Laplacian
+
+_BC_PAD_MODES = {"periodic": "wrap", "neumann_zero": "edge"}
+
+
+def pad_boundary(field: np.ndarray, bc: str, width: int = 1) -> np.ndarray:
+    """Ghost cells on the last two axes of an array: a wrap for "periodic",
+    edge replication for "neumann_zero"."""
+    if bc not in _BC_PAD_MODES:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    pad = [(0, 0)] * (field.ndim - 2) + [(width, width), (width, width)]
+    return np.pad(field, pad, mode=_BC_PAD_MODES[bc])
+
+
+def laplacian_stencil(field: np.ndarray, bc: str, dx: float) -> np.ndarray:
+    """5-point Laplacian of the last two axes of an array.
+
+    Under both boundary rules this is a symmetric linear map, so it is also
+    its own adjoint.
+    """
+    p = pad_boundary(field, bc)
+    out = p[..., :-2, 1:-1] + p[..., 2:, 1:-1] + p[..., 1:-1, :-2] + p[..., 1:-1, 2:] - 4.0 * field
+    return out / (dx * dx)
+
+
+def laplacian(x, bc: str, dx: float = 1.0) -> Tensor:
+    """Differentiable 5-point Laplacian of the last two axes of a tensor."""
+    x = _wrap(x)
+    if x.values.ndim < 2:
+        raise ValueError("laplacian expects at least two (spatial) axes")
+    out = laplacian_stencil(x.values, bc, dx)
+    return _node(out, [(x, lambda g: laplacian_stencil(g, bc, dx))])
 
 
 def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:

@@ -35,9 +35,6 @@ class ParamSet:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -47,9 +44,6 @@ class ParamSet:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {name: t.grad for name, t in self._params.items()}
 
     def grad_norm(self) -> float:
         total = 0.0

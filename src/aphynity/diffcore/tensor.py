@@ -12,7 +12,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "Graph", "backward", "no_grad", "grad_enabled", "constant"]
+__all__ = ["Tensor", "backward", "no_grad", "grad_enabled"]
 
 _GRAD_ENABLED = True
 
@@ -138,11 +138,6 @@ class Tensor:
         return f"Tensor({tag}, shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(values) -> Tensor:
-    """Wrap an array as a non-differentiable tensor (no finiteness check)."""
-    return Tensor._const(np.asarray(values, dtype=np.float64))
-
-
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -192,34 +187,3 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
             else:
                 node.grad += g
 
-
-class Graph:
-    """A reusable computation: named inputs -> output tensor.
-
-    Thin convenience wrapper tying a builder function to declared input
-    names, with the forward-before-backward contract made explicit.
-    """
-
-    def __init__(self, fn, input_names: tuple[str, ...] | list[str]):
-        self.fn = fn
-        self.input_names = tuple(input_names)
-        self._root: Tensor | None = None
-        self._inputs: dict[str, Tensor] = {}
-
-    def forward(self, **inputs) -> Tensor:
-        missing = [n for n in self.input_names if n not in inputs]
-        if missing:
-            raise ValueError(f"unbound graph inputs: {missing}")
-        bound = {}
-        for name in self.input_names:
-            val = inputs[name]
-            bound[name] = val if isinstance(val, Tensor) else Tensor(val, requires_grad=False)
-        self._inputs = bound
-        self._root = self.fn(**bound)
-        return self._root
-
-    def backward(self) -> Tensor:
-        if self._root is None:
-            raise RuntimeError("backward called before forward")
-        backward(self._root)
-        return self._root

@@ -17,7 +17,7 @@ import numpy as np
 from .diffcore import Tensor
 
 __all__ = [
-    "StateSpec", "Trajectory", "BlowUpError", "StepUnderflowError",
+    "StateSpec", "BlowUpError", "StepUnderflowError",
     "rk4_step", "integrate", "dopri5", "euler_fine",
 ]
 
@@ -53,32 +53,6 @@ class StateSpec:
     @property
     def length(self) -> int:
         return int(np.prod(self.shape))
-
-
-@dataclass
-class Trajectory:
-    """Uniformly spaced sequence of states, first axis is time."""
-
-    spec: StateSpec
-    dt: float
-    states: np.ndarray  # (T+1, *spec.shape)
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.float64)
-        if self.states.shape[0] < 2:
-            raise ValueError("a trajectory needs at least two states")
-        if tuple(self.states.shape[1:]) != self.spec.shape:
-            raise ValueError(
-                f"state shape {self.states.shape[1:]} does not match spec {self.spec.shape}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.states.shape[0])
 
 
 def _raw(x):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ParamSet, Tensor
+from .diffcore.ops import laplacian_stencil, pad_boundary
 
 __all__ = [
     "softplus_inverse", "ConstrainedParam", "laplacian", "laplacian_np",
@@ -34,11 +35,6 @@ __all__ = [
 PENDULUM_FLOORS = {"omega0_sq": 1e-4, "alpha": 1e-4}
 REACDIFF_FLOORS = {"a": 1e-6, "b": 1e-6, "k": 1e-6}
 WAVE_FLOORS = {"c": 1.0, "k": 1.0}
-
-LAPLACIAN_STENCIL = np.array([[0.0, 1.0, 0.0],
-                              [1.0, -4.0, 1.0],
-                              [0.0, 1.0, 0.0]])
-
 
 def softplus_inverse(y):
     """Inverse of log(1 + e^x), stable across magnitudes."""
@@ -85,64 +81,28 @@ def laplacian_np(field: np.ndarray, bc: str, dx: float, order: int = 2) -> np.nd
     """5-point (or 4th-order 9-point cross) Laplacian on the last two axes.
 
     ``bc`` is "periodic" (wrap) or "neumann_zero" (edge replication).  The
+    5-point stencil is the one the autodiff :func:`laplacian` uses; the
     4th-order variant exists for the wave-equation simulator only.
     """
-    if bc not in ("periodic", "neumann_zero"):
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    mode = "wrap" if bc == "periodic" else "edge"
-    width = 1 if order == 2 else 2
-    pad = [(0, 0)] * (field.ndim - 2) + [(width, width), (width, width)]
-    p = np.pad(field, pad, mode=mode)
-    c = (slice(None),) * (field.ndim - 2)
     if order == 2:
-        out = (p[c + (slice(0, -2), slice(1, -1))] + p[c + (slice(2, None), slice(1, -1))]
-               + p[c + (slice(1, -1), slice(0, -2))] + p[c + (slice(1, -1), slice(2, None))]
-               - 4.0 * field)
-        return out / (dx * dx)
-    if order == 4:
-        h, w = field.shape[-2], field.shape[-1]
+        return laplacian_stencil(field, bc, dx)
+    if order != 4:
+        raise ValueError("order must be 2 or 4")
+    p = pad_boundary(field, bc, width=2)
+    h, w = field.shape[-2], field.shape[-1]
 
-        def sh(di, dj):
-            return p[c + (slice(2 + di, 2 + di + h), slice(2 + dj, 2 + dj + w))]
+    def sh(di, dj):
+        return p[..., 2 + di:2 + di + h, 2 + dj:2 + dj + w]
 
-        out = (-sh(-2, 0) + 16 * sh(-1, 0) + 16 * sh(1, 0) - sh(2, 0)
-               - sh(0, -2) + 16 * sh(0, -1) + 16 * sh(0, 1) - sh(0, 2)
-               - 60.0 * field)
-        return out / (12.0 * dx * dx)
-    raise ValueError("order must be 2 or 4")
+    out = (-sh(-2, 0) + 16 * sh(-1, 0) + 16 * sh(1, 0) - sh(2, 0)
+           - sh(0, -2) + 16 * sh(0, -1) + 16 * sh(0, 1) - sh(0, 2)
+           - 60.0 * field)
+    return out / (12.0 * dx * dx)
 
 
-def laplacian(field, bc: str, dx: float = 1.0):
-    """Discrete 5-point Laplacian.
-
-    Accepts a plain array (delegates to :func:`laplacian_np`) or a batched
-    autodiff tensor of shape (B, C, H, W), where it is expressed through the
-    padding + 3x3 stencil convolution so it stays differentiable.
-    """
-    if not isinstance(field, Tensor):
-        return laplacian_np(np.asarray(field, dtype=np.float64), bc, dx)
-    if bc == "periodic":
-        pad_mode = "circular"
-    elif bc == "neumann_zero":
-        pad_mode = "replicate"
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    if field.ndim == 2:
-        x = dc.reshape(field, (1, 1, *field.shape))
-        squeeze = field.shape
-    elif field.ndim == 4:
-        x = field
-        squeeze = None
-    else:
-        raise ValueError("laplacian expects (H, W) or (B, C, H, W)")
-    channels = x.shape[1]
-    kernel = np.zeros((channels, channels, 3, 3))
-    for i in range(channels):
-        kernel[i, i] = LAPLACIAN_STENCIL / (dx * dx)
-    out = dc.conv3x3_valid(dc.pad2d(x, pad_mode), dc.constant(kernel))
-    if squeeze is not None:
-        out = dc.reshape(out, squeeze)
-    return out
+def laplacian(field, bc: str, dx: float = 1.0) -> Tensor:
+    """Differentiable 5-point Laplacian of a field tensor (see :func:`diffcore.laplacian`)."""
+    return dc.laplacian(field, bc, dx)
 
 
 class PhysicalFamily:

@@ -27,13 +27,12 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ParamSet, Tensor
-from .integrators import BlowUpError, Trajectory, integrate
+from .integrators import BlowUpError, integrate
 from .models import AugmentedDynamics
 
 __all__ = [
     "MODES", "TrainConfig", "EpochRecord", "TrainReport",
-    "trajectory_loss", "derivative_loss", "augmentation_norm_sq",
-    "finite_diff_derivative", "fit",
+    "trajectory_loss", "derivative_loss", "augmentation_norm_sq", "fit",
 ]
 
 log = logging.getLogger("aphynity.training")
@@ -169,12 +168,6 @@ def derivative_loss(model: AugmentedDynamics, truth: np.ndarray, dt: float) -> T
 def augmentation_norm_sq(augmentation, states: np.ndarray) -> Tensor:
     """Sum of squared residual outputs over the given states and entries."""
     return dc.sum_all(dc.square(augmentation(Tensor(states))))
-
-
-def finite_diff_derivative(traj: Trajectory) -> np.ndarray:
-    """Forward differences (X_{k+1} - X_k) / dt for k = 0..N-1."""
-    states = traj.states
-    return (states[1:] - states[:-1]) / traj.dt
 
 
 # ---------------------------------------------------------------------------

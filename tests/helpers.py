@@ -71,3 +71,24 @@ def gradcheck(build, tensors, h=1e-6, floor=None):
 
 def make_tensor(rng, shape, scale=1.0, requires_grad=True):
     return Tensor(scale * rng.standard_normal(shape), requires_grad=requires_grad)
+
+
+def conv2d_direct(x, k, padding):
+    """Shape-preserving 3x3 convolution as an explicit sum over taps.
+
+    ``out[b, o, i, j] = sum_{c, di, dj} k[o, c, di, dj] * x[b, c, i + di - 1, j + dj - 1]``
+    where out-of-grid reads are zero ("zero") or wrap around ("circular").
+    """
+    n, _, h, w = x.shape
+    out = np.zeros((n, k.shape[0], h, w))
+    for i in range(h):
+        for j in range(w):
+            for di in range(3):
+                for dj in range(3):
+                    si, sj = i + di - 1, j + dj - 1
+                    if padding == "circular":
+                        si, sj = si % h, sj % w
+                    elif not (0 <= si < h and 0 <= sj < w):
+                        continue
+                    out[:, :, i, j] += x[:, :, si, sj] @ k[:, :, di, dj].T
+    return out

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 import aphynity.diffcore as dc
 from aphynity.diffcore import Tensor, backward
 from aphynity.integrators import (
-    BlowUpError, StateSpec, StepUnderflowError, Trajectory,
+    BlowUpError, StateSpec, StepUnderflowError,
     dopri5, euler_fine, integrate, rk4_step,
 )
 
@@ -189,19 +189,6 @@ def test_euler_fine_periodic_diffusion_conserves_mass():
     out = euler_fine(diffusion, u0, 1e-3, 2000, 100)
     masses = out.sum(axis=(1, 2))
     assert np.max(np.abs(masses - masses[0]) / abs(masses[0])) < 1e-10
-
-
-def test_trajectory_invariants():
-    spec = StateSpec("vector", (2,))
-    tr = Trajectory(spec, 0.5, np.zeros((5, 2)))
-    assert len(tr) == 5
-    np.testing.assert_allclose(tr.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(ValueError):
-        Trajectory(spec, 0.5, np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        Trajectory(spec, 0.5, np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        Trajectory(StateSpec("field", (2, 4, 4)), 0.0, np.zeros((5, 2, 4, 4)))
 
 
 def test_statespec_validation():

@@ -6,12 +6,11 @@ import aphynity.diffcore as dc
 from aphynity.augments import MlpAugmentation, MlpSpec
 from aphynity.datagen import Dataset, gen_pendulum
 from aphynity.diffcore import ParamSet, Tensor, backward
-from aphynity.integrators import StateSpec, Trajectory, integrate
+from aphynity.integrators import StateSpec, integrate
 from aphynity.models import AugmentedDynamics
 from aphynity.physics import make_family
 from aphynity.training import (
-    TrainConfig, augmentation_norm_sq, derivative_loss, finite_diff_derivative,
-    fit, trajectory_loss,
+    TrainConfig, augmentation_norm_sq, derivative_loss, fit, trajectory_loss,
 )
 
 
@@ -87,26 +86,11 @@ def test_augmentation_norm_examples():
     states = np.random.default_rng(2).standard_normal((7, 2))
     assert augmentation_norm_sq(zero_mlp, states).item() == 0.0
 
-    fixed = lambda x: dc.constant(np.array([[3.0, 4.0]]))
+    fixed = lambda x: Tensor(np.array([[3.0, 4.0]]))
     assert augmentation_norm_sq(fixed, np.zeros((1, 2))).item() == pytest.approx(25.0)
 
-    two = lambda x: dc.constant(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    two = lambda x: Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert augmentation_norm_sq(two, np.zeros((2, 2))).item() == pytest.approx(5.0)
-
-
-def test_finite_diff_derivative_examples():
-    spec = StateSpec("vector", (1,))
-    linear = Trajectory(spec, 0.5, (2.0 * 0.5 * np.arange(5))[:, None])
-    np.testing.assert_allclose(finite_diff_derivative(linear), 2.0)
-
-    const = Trajectory(spec, 0.5, np.full((4, 1), 3.3))
-    np.testing.assert_array_equal(finite_diff_derivative(const), np.zeros((3, 1)))
-
-    t = 0.5 * np.arange(4)
-    decay = Trajectory(spec, 0.5, np.exp(-t)[:, None])
-    est = finite_diff_derivative(decay)
-    assert est[0, 0] == pytest.approx((np.exp(-0.5) - 1.0) / 0.5, rel=1e-12)
-    assert est[0, 0] > -1.0 + 0.2  # visibly biased against the true slope -1
 
 
 def test_lambda_trace_follows_multiplier_arithmetic():
