@@ -3,9 +3,9 @@
 Each experiment is described by one JSON config (see ``configs/``).  Commands
 validate their inputs before touching the filesystem, mark output
 directories with a ``.partial`` file until they complete, and use a fixed
-exit-code contract: 0 ok, 2 usage/validation error, 3 training divergence,
-4 artifact corruption.  ``APHYNITY_LOG`` (error/info/debug) controls
-verbosity.
+exit-code contract: 0 ok, 2 usage/validation error, 3 divergence (of training,
+or of every test rollout in evaluation), 4 artifact corruption.
+``APHYNITY_LOG`` (error/info/debug) controls verbosity.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset,
 )
+from .integrators import BlowUpError
 from .metrics import (
     evaluate, load_metrics_rows, write_metrics_csv, write_metrics_json,
 )
@@ -276,9 +277,12 @@ def cmd_train(args) -> int:
 def _parse_seeds(args, cfg) -> list[int]:
     if getattr(args, "seeds", None):
         try:
-            return [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise UsageError(f"bad --seeds list: {args.seeds!r}") from exc
+        if not seeds:
+            raise UsageError(f"--seeds {args.seeds!r} lists no seed")
+        return seeds
     if args.seed is not None:
         return [args.seed]
     return [cfg.get("seed", 0)]
@@ -295,10 +299,14 @@ def cmd_evaluate(args) -> int:
             f"horizon {horizon} outside 1..{test_ds.n_steps} for this dataset")
     run_id = extra.get("config_name") or "run"
     seed = int(extra.get("seed", 0))
-    record = evaluate(model, test_ds, horizon, train=train_ds,
-                      fa_norm_sq=extra.get("fa_norm_sq"),
-                      run_id=f"{run_id}-seed{seed}", mode=extra.get("mode", "n/a"),
-                      seed=seed)
+    try:
+        record = evaluate(model, test_ds, horizon, train=train_ds,
+                          fa_norm_sq=extra.get("fa_norm_sq"),
+                          run_id=f"{run_id}-seed{seed}", mode=extra.get("mode", "n/a"),
+                          seed=seed)
+    except BlowUpError as exc:
+        print(f"error: every test trajectory diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     out = Path(args.out)
     with _partial_marker(out):
         write_metrics_csv([record], out / "metrics.csv")
@@ -317,13 +325,13 @@ def _check_compatibility(model: AugmentedDynamics, ds: Dataset) -> None:
             f"checkpoint is for {desc['physics']['system']!r}, data is {ds.system!r}")
     if desc["augmentation"] is not None:
         kind = desc["augmentation"]["kind"]
-        if kind == "mlp" and ds.spec.kind != "vector":
+        if kind == "mlp" and ds.state_kind != "vector":
             raise UsageError("mlp checkpoint cannot evaluate field states")
-        if kind == "convnet" and ds.spec.kind != "field":
+        if kind == "convnet" and ds.state_kind != "field":
             raise UsageError("convnet checkpoint cannot evaluate vector states")
-        if kind == "mlp" and ds.spec.shape[0] != desc["augmentation"]["in_dim"]:
+        if kind == "mlp" and ds.state_shape[0] != desc["augmentation"]["in_dim"]:
             raise UsageError("state width differs from checkpoint")
-        if kind == "convnet" and ds.spec.shape[0] != desc["augmentation"]["in_channels"]:
+        if kind == "convnet" and ds.state_shape[0] != desc["augmentation"]["in_channels"]:
             raise UsageError("channel count differs from checkpoint")
 
 

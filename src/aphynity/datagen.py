@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .integrators import BlowUpError, StateSpec, dopri5, euler_fine, rk4_step
+from .integrators import BlowUpError, dopri5, euler_fine, rk4_step
 from .physics import laplacian_np
 
 __all__ = [
@@ -47,9 +47,8 @@ class DatasetError(RuntimeError):
 class Dataset:
     system: str
     split: str
-    spec: StateSpec
     dt: float
-    trajectories: np.ndarray  # (N, T+1, *spec.shape)
+    trajectories: np.ndarray  # (N, T+1, d) vector or (N, T+1, C, H, W) field states
     true_params: dict[str, float]
     noise_sigma: float
     seed: int
@@ -63,11 +62,10 @@ class Dataset:
     def validate(self) -> None:
         if self.split not in _SPLIT_CODES:
             raise ValueError(f"unknown split {self.split!r}")
-        if self.trajectories.ndim != 2 + len(self.spec.shape):
-            raise ValueError("trajectory array rank does not match the state spec")
-        if tuple(self.trajectories.shape[2:]) != self.spec.shape:
+        if self.trajectories.ndim not in (3, 5):
             raise ValueError(
-                f"state shape {self.trajectories.shape[2:]} != spec {self.spec.shape}")
+                f"trajectories of rank {self.trajectories.ndim}: need (N, T+1, d) "
+                "vector or (N, T+1, C, H, W) field states")
         if self.trajectories.shape[1] < 2:
             raise ValueError("trajectories need at least two states")
         if not self.dt > 0:
@@ -81,8 +79,16 @@ class Dataset:
     def n_steps(self) -> int:
         return self.trajectories.shape[1] - 1
 
+    @property
+    def state_shape(self) -> tuple[int, ...]:
+        return self.trajectories.shape[2:]
+
+    @property
+    def state_kind(self) -> str:
+        return "vector" if len(self.state_shape) == 1 else "field"
+
     def all_states(self) -> np.ndarray:
-        return self.trajectories.reshape(-1, *self.spec.shape)
+        return self.trajectories.reshape(-1, *self.state_shape)
 
 
 def _stream(seed: int, split: str, index: int, attempt: int = 0) -> np.random.Generator:
@@ -149,8 +155,7 @@ def gen_pendulum(n_traj: int = 25, steps: int = 40, dt: float = 0.5,
             traj = traj + sigma * rng.standard_normal(traj.shape)
         out[i] = traj
     return Dataset(
-        system="pendulum", split=split, spec=StateSpec("vector", (2,)), dt=dt,
-        trajectories=out,
+        system="pendulum", split=split, dt=dt, trajectories=out,
         true_params={"omega0_sq": omega0_sq, "alpha": alpha, "t0_period": t0_period},
         noise_sigma=sigma, seed=seed)
 
@@ -203,8 +208,8 @@ def gen_reacdiff(n_seq: int = 1920, grid: int = 32, a: float = 1e-3, b: float = 
     except BlowUpError:
         out = np.stack([one_sequence(i) for i in range(n_seq)])
     return Dataset(
-        system="reacdiff", split=split, spec=StateSpec("field", (2, grid, grid)),
-        dt=dt_data, trajectories=out, true_params={"a": a, "b": b, "k": k},
+        system="reacdiff", split=split, dt=dt_data, trajectories=out,
+        true_params={"a": a, "b": b, "k": k},
         noise_sigma=0.0, seed=seed, grid={"dx": dx, "bc": "periodic"}, events=events)
 
 
@@ -239,7 +244,7 @@ def gen_wave(n_seq: int = 250, grid: int = 64, c: float = 330.0, k: float = 50.0
         x = rk4_step(rhs, x, dt)
         out[:, step] = x
     return Dataset(
-        system="wave", split=split, spec=StateSpec("field", (2, grid, grid)), dt=dt,
+        system="wave", split=split, dt=dt,
         trajectories=out, true_params={"c": c, "k": k}, noise_sigma=0.0, seed=seed,
         grid={"dx": 1.0, "bc": "neumann_zero"})
 
@@ -256,8 +261,8 @@ def save_dataset(ds: Dataset, path) -> None:
         "kind": "trajectory-dataset",
         "system": ds.system,
         "split": ds.split,
-        "state_kind": ds.spec.kind,
-        "state_shape": list(ds.spec.shape),
+        "state_kind": ds.state_kind,
+        "state_shape": list(ds.state_shape),
         "n_traj": ds.n_traj,
         "n_states": ds.trajectories.shape[1],
         "dt": ds.dt,
@@ -285,15 +290,21 @@ def load_dataset(path) -> Dataset:
     if meta.get("format_version") != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {meta.get('format_version')!r}")
     payload = (path / "data.bin").read_bytes()
-    if len(payload) != meta["payload_bytes"]:
-        raise DatasetError("data.bin is truncated")
-    if zlib.crc32(payload) != meta["payload_crc32"]:
-        raise DatasetError("data.bin failed its checksum")
-    shape = (meta["n_traj"], meta["n_states"], *meta["state_shape"])
-    data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    return Dataset(
-        system=meta["system"], split=meta["split"],
-        spec=StateSpec(meta["state_kind"], tuple(meta["state_shape"])),
-        dt=meta["dt"], trajectories=data, true_params=meta["true_params"],
-        noise_sigma=meta["noise_sigma"], seed=meta["seed"], grid=meta["grid"],
-        events=meta.get("events", []))
+    try:
+        if len(payload) != meta["payload_bytes"]:
+            raise DatasetError("data.bin is truncated")
+        if zlib.crc32(payload) != meta["payload_crc32"]:
+            raise DatasetError("data.bin failed its checksum")
+        shape = (meta["n_traj"], meta["n_states"], *meta["state_shape"])
+        data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        ds = Dataset(
+            system=meta["system"], split=meta["split"], dt=meta["dt"], trajectories=data,
+            true_params=meta["true_params"], noise_sigma=meta["noise_sigma"],
+            seed=meta["seed"], grid=meta["grid"], events=meta.get("events", []))
+        if ds.state_kind != meta["state_kind"]:
+            raise ValueError(f"state_kind {meta['state_kind']!r} disagrees with "
+                             f"state_shape {meta['state_shape']}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(
+            f"meta.json does not describe data.bin: {type(exc).__name__}: {exc}") from exc
+    return ds

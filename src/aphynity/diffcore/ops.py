@@ -333,8 +333,9 @@ def laplacian(x, bc: str, dx: float = 1.0) -> Tensor:
 def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:
     """Per-channel standardization over batch and spatial axes.
 
-    No running statistics are kept: evaluation uses the statistics of the
-    batch it is given, so train and eval behave identically.
+    No running statistics are kept: every pass, training or evaluation, uses
+    the statistics of the batch it is given, so a sample's output depends on
+    the other samples in its batch.
     """
     x, scale, shift = _wrap(x), _wrap(scale), _wrap(shift)
     xv = x.values

@@ -10,14 +10,12 @@ generation, deliberately different schemes than the training solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffcore import Tensor
 
 __all__ = [
-    "StateSpec", "BlowUpError", "StepUnderflowError",
+    "BlowUpError", "StepUnderflowError",
     "rk4_step", "integrate", "dopri5", "euler_fine",
 ]
 
@@ -28,31 +26,6 @@ class BlowUpError(RuntimeError):
 
 class StepUnderflowError(RuntimeError):
     """Adaptive step control shrank the step below the representable minimum."""
-
-
-@dataclass(frozen=True)
-class StateSpec:
-    """Shape contract for one system state.
-
-    ``kind`` is "vector" (shape ``(d,)``) or "field" (shape ``(C, H, W)``).
-    """
-
-    kind: str
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind == "vector":
-            if len(self.shape) != 1:
-                raise ValueError(f"vector spec needs a 1-d shape, got {self.shape}")
-        elif self.kind == "field":
-            if len(self.shape) != 3:
-                raise ValueError(f"field spec needs a (C, H, W) shape, got {self.shape}")
-        else:
-            raise ValueError(f"unknown state kind {self.kind!r}")
-
-    @property
-    def length(self) -> int:
-        return int(np.prod(self.shape))
 
 
 def _raw(x):
@@ -92,7 +65,6 @@ def integrate(f, x0, n_steps: int, dt: float) -> list:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4)
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -113,7 +85,7 @@ _DP_D = np.array([
 ])
 
 
-def _dp_step(f, t, y, h):
+def _dp_step(f, y, h):
     k = [f(y)]
     for i in range(1, 7):
         yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
@@ -166,7 +138,7 @@ def dopri5(f, x0, t_grid, rtol: float = 1e-8, atol: float = 1e-10,
         h = min(h, t_end - t)
         if h < 16 * np.finfo(np.float64).eps * max(abs(t), 1.0):
             raise StepUnderflowError(f"step size underflow at t={t}")
-        y_new, err_vec, k = _dp_step(f, t, y, h)
+        y_new, err_vec, k = _dp_step(f, y, h)
         if not np.all(np.isfinite(y_new)):
             h *= 0.25
             continue

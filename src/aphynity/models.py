@@ -134,24 +134,27 @@ def load_checkpoint(path) -> tuple[AugmentedDynamics, dict]:
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {manifest.get('format_version')!r}")
-    arrays = _read_arrays(path, manifest)
-
-    desc = manifest["model"]
-    physical = None
-    if desc["physics"] is not None:
-        p = desc["physics"]
-        physical = make_family(p["system"], p["variant"], dx=p.get("dx"),
-                               trainable=p["trainable"])
-        for pname, raw in physical.raw_params().items():
-            raw.values = np.asarray(arrays[f"physics.{pname}"])
-    augmentation = None
-    if desc["augmentation"] is not None:
-        augmentation = make_augmentation(desc["augmentation"])
-        for name, tensor in augmentation.params.items():
-            src = arrays[f"augment.{name}"]
-            if src.shape != tensor.values.shape:
-                raise CheckpointError(f"array {name!r} has shape {src.shape}, "
-                                      f"expected {tensor.values.shape}")
-            tensor.values = src
+    try:
+        arrays = _read_arrays(path, manifest)
+        desc = manifest["model"]
+        physical = None
+        if desc["physics"] is not None:
+            p = desc["physics"]
+            physical = make_family(p["system"], p["variant"], dx=p.get("dx"),
+                                   trainable=p["trainable"])
+            for pname, raw in physical.raw_params().items():
+                raw.values = np.asarray(arrays[f"physics.{pname}"])
+        augmentation = None
+        if desc["augmentation"] is not None:
+            augmentation = make_augmentation(desc["augmentation"])
+            for name, tensor in augmentation.params.items():
+                src = arrays[f"augment.{name}"]
+                if src.shape != tensor.values.shape:
+                    raise CheckpointError(f"array {name!r} has shape {src.shape}, "
+                                          f"expected {tensor.values.shape}")
+                tensor.values = src
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"manifest.json does not describe params.bin: {type(exc).__name__}: {exc}") from exc
     model = AugmentedDynamics(physical, augmentation)
     return model, manifest.get("extra", {})

@@ -57,24 +57,17 @@ class ConstrainedParam:
                  trainable: bool = True):
         if not floor > 0:
             raise ValueError("floor must be positive")
-        self.name = name
         self.floor = float(floor)
         value = 2.0 * self.floor if init is None else float(init)
         if value <= self.floor:
             raise ValueError(f"{name}: initial value {value} must exceed floor {floor}")
         self.raw = Tensor(softplus_inverse(value - self.floor), requires_grad=trainable)
-        self.trainable = trainable
 
     def tensor(self) -> Tensor:
         return dc.add(dc.softplus(self.raw), self.floor)
 
     def item(self) -> float:
         return float(np.logaddexp(0.0, self.raw.values) + self.floor)
-
-    def set(self, value: float) -> None:
-        if value <= self.floor:
-            raise ValueError(f"{self.name}: value {value} must exceed floor {self.floor}")
-        self.raw.values = np.asarray(softplus_inverse(value - self.floor))
 
 
 def laplacian_np(field: np.ndarray, bc: str, dx: float, order: int = 2) -> np.ndarray:
@@ -106,20 +99,35 @@ def laplacian(field, bc: str, dx: float = 1.0) -> Tensor:
 
 
 class PhysicalFamily:
-    """Base for parametric dynamics: owns constrained params, exposes rhs()."""
+    """Base for parametric dynamics: owns constrained params, exposes rhs().
+
+    A subclass names its variants in ``VARIANTS`` (variant -> the parameters
+    it trains, in registration order) and their floors in ``FLOORS``.  A
+    parameter the variant lacks reads as ``None`` through :meth:`tensor`.
+    """
 
     system: str = ""
-    variant: str = ""
+    VARIANTS: dict[str, tuple[str, ...]] = {}
+    FLOORS: dict[str, float] = {}
 
-    def __init__(self):
+    def __init__(self, variant: str, init: dict | None = None, trainable: bool = True,
+                 dx: float | None = None):
+        if variant not in self.VARIANTS:
+            raise ValueError(f"unknown physical family {self.system!r}/{variant!r}")
+        init = init or {}
+        self.variant = variant
+        self.dx = None if dx is None else float(dx)
         self.params = ParamSet()
         self._constrained: dict[str, ConstrainedParam] = {}
+        for name in self.VARIANTS[variant]:
+            cp = ConstrainedParam(name, self.FLOORS[name], init.get(name), trainable)
+            self._constrained[name] = cp
+            if trainable:
+                self.params.add(name, cp.raw)
 
-    def _register(self, cp: ConstrainedParam) -> ConstrainedParam:
-        self._constrained[cp.name] = cp
-        if cp.trainable:
-            self.params.add(cp.name, cp.raw)
-        return cp
+    def tensor(self, name: str) -> Tensor | None:
+        cp = self._constrained.get(name)
+        return None if cp is None else cp.tensor()
 
     def param_values(self) -> dict[str, float]:
         return {name: cp.item() for name, cp in self._constrained.items()}
@@ -127,10 +135,6 @@ class PhysicalFamily:
     def raw_params(self) -> dict[str, Tensor]:
         """Pre-softplus leaves for all parameters, trainable or frozen."""
         return {name: cp.raw for name, cp in self._constrained.items()}
-
-    def set_param_values(self, values: dict[str, float]) -> None:
-        for name, value in values.items():
-            self._constrained[name].set(value)
 
     def rhs(self, x: Tensor) -> Tensor:
         raise NotImplementedError
@@ -140,27 +144,16 @@ class PendulumDynamics(PhysicalFamily):
     """Pendulum rhs ``(v, -omega0^2 sin(u) [- alpha v])`` on (B, 2) states."""
 
     system = "pendulum"
-
-    def __init__(self, damped: bool, init: dict | None = None, trainable: bool = True,
-                 floors: dict | None = None):
-        super().__init__()
-        init = init or {}
-        floors = {**PENDULUM_FLOORS, **(floors or {})}
-        self.damped = damped
-        self.variant = "omega0_alpha" if damped else "omega0"
-        self._w2 = self._register(ConstrainedParam(
-            "omega0_sq", floors["omega0_sq"], init.get("omega0_sq"), trainable))
-        self._alpha = None
-        if damped:
-            self._alpha = self._register(ConstrainedParam(
-                "alpha", floors["alpha"], init.get("alpha"), trainable))
+    VARIANTS = {"omega0": ("omega0_sq",), "omega0_alpha": ("omega0_sq", "alpha")}
+    FLOORS = PENDULUM_FLOORS
 
     def rhs(self, x: Tensor) -> Tensor:
         u = dc.narrow(x, 1, 0, 1)
         v = dc.narrow(x, 1, 1, 1)
-        accel = dc.smul(-1.0, dc.mul(self._w2.tensor(), dc.sin(u)))
-        if self._alpha is not None:
-            accel = dc.sub(accel, dc.mul(self._alpha.tensor(), v))
+        accel = dc.smul(-1.0, dc.mul(self.tensor("omega0_sq"), dc.sin(u)))
+        alpha = self.tensor("alpha")
+        if alpha is not None:
+            accel = dc.sub(accel, dc.mul(alpha, v))
         return dc.concat([v, accel], 1)
 
 
@@ -169,30 +162,19 @@ class ReactionDiffusionDynamics(PhysicalFamily):
 
     system = "reacdiff"
     bc = "periodic"
-
-    def __init__(self, include_reaction: bool, dx: float, init: dict | None = None,
-                 trainable: bool = True, floors: dict | None = None):
-        super().__init__()
-        init = init or {}
-        floors = {**REACDIFF_FLOORS, **(floors or {})}
-        self.include_reaction = include_reaction
-        self.variant = "abk" if include_reaction else "ab"
-        self.dx = float(dx)
-        self._a = self._register(ConstrainedParam("a", floors["a"], init.get("a"), trainable))
-        self._b = self._register(ConstrainedParam("b", floors["b"], init.get("b"), trainable))
-        self._k = None
-        if include_reaction:
-            self._k = self._register(ConstrainedParam("k", floors["k"], init.get("k"), trainable))
+    VARIANTS = {"ab": ("a", "b"), "abk": ("a", "b", "k")}
+    FLOORS = REACDIFF_FLOORS
 
     def rhs(self, x: Tensor) -> Tensor:
         u = dc.narrow(x, 1, 0, 1)
         v = dc.narrow(x, 1, 1, 1)
-        du = dc.mul(self._a.tensor(), laplacian(u, self.bc, self.dx))
-        dv = dc.mul(self._b.tensor(), laplacian(v, self.bc, self.dx))
-        if self._k is not None:
+        du = dc.mul(self.tensor("a"), laplacian(u, self.bc, self.dx))
+        dv = dc.mul(self.tensor("b"), laplacian(v, self.bc, self.dx))
+        k = self.tensor("k")
+        if k is not None:
             # R_u = u - u^3 - k - v;  R_v = u - v
             u3 = dc.mul(dc.square(u), u)
-            ru = dc.sub(dc.sub(dc.sub(u, u3), self._k.tensor()), v)
+            ru = dc.sub(dc.sub(dc.sub(u, u3), k), v)
             du = dc.add(du, ru)
             dv = dc.add(dv, dc.sub(u, v))
         return dc.concat([du, dv], 1)
@@ -203,50 +185,33 @@ class DampedWaveDynamics(PhysicalFamily):
 
     system = "wave"
     bc = "neumann_zero"
-
-    def __init__(self, damped: bool, dx: float = 1.0, init: dict | None = None,
-                 trainable: bool = True, floors: dict | None = None):
-        super().__init__()
-        init = init or {}
-        floors = {**WAVE_FLOORS, **(floors or {})}
-        self.damped = damped
-        self.variant = "ck" if damped else "c"
-        self.dx = float(dx)
-        self._c = self._register(ConstrainedParam("c", floors["c"], init.get("c"), trainable))
-        self._k = None
-        if damped:
-            self._k = self._register(ConstrainedParam("k", floors["k"], init.get("k"), trainable))
+    VARIANTS = {"c": ("c",), "ck": ("c", "k")}
+    FLOORS = WAVE_FLOORS
 
     def rhs(self, x: Tensor) -> Tensor:
         w = dc.narrow(x, 1, 0, 1)
         v = dc.narrow(x, 1, 1, 1)
-        accel = dc.mul(dc.square(self._c.tensor()), laplacian(w, self.bc, self.dx))
-        if self._k is not None:
-            accel = dc.sub(accel, dc.mul(self._k.tensor(), v))
+        accel = dc.mul(dc.square(self.tensor("c")), laplacian(w, self.bc, self.dx))
+        k = self.tensor("k")
+        if k is not None:
+            accel = dc.sub(accel, dc.mul(k, v))
         return dc.concat([v, accel], 1)
+
+
+_FAMILIES = {cls.system: cls for cls in
+             (PendulumDynamics, ReactionDiffusionDynamics, DampedWaveDynamics)}
 
 
 def make_family(system: str, variant: str, *, dx: float | None = None,
                 init: dict | None = None, trainable: bool = True) -> PhysicalFamily:
     """Construct a family by (system, variant) name, as used by configs."""
-    if system == "pendulum":
-        if variant == "omega0":
-            return PendulumDynamics(damped=False, init=init, trainable=trainable)
-        if variant == "omega0_alpha":
-            return PendulumDynamics(damped=True, init=init, trainable=trainable)
-    elif system == "reacdiff":
-        if dx is None:
-            raise ValueError("reacdiff families need dx")
-        if variant == "ab":
-            return ReactionDiffusionDynamics(False, dx, init=init, trainable=trainable)
-        if variant == "abk":
-            return ReactionDiffusionDynamics(True, dx, init=init, trainable=trainable)
-    elif system == "wave":
-        if variant == "c":
-            return DampedWaveDynamics(False, dx=dx or 1.0, init=init, trainable=trainable)
-        if variant == "ck":
-            return DampedWaveDynamics(True, dx=dx or 1.0, init=init, trainable=trainable)
-    raise ValueError(f"unknown physical family {system!r}/{variant!r}")
+    if system not in _FAMILIES:
+        raise ValueError(f"unknown physical family {system!r}/{variant!r}")
+    if system == "reacdiff" and dx is None:
+        raise ValueError("reacdiff families need dx")
+    if system == "wave":
+        dx = dx or 1.0
+    return _FAMILIES[system](variant, init=init, trainable=trainable, dx=dx)
 
 
 class SingularProjectionError(RuntimeError):

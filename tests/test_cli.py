@@ -6,6 +6,8 @@ import pytest
 from aphynity.cli import main
 from aphynity.datagen import load_dataset
 from aphynity.metrics import load_metrics_rows
+from aphynity.models import AugmentedDynamics, load_checkpoint, save_checkpoint
+from aphynity.physics import make_family
 
 
 def tiny_pendulum_config(tmp_path, **overrides):
@@ -211,3 +213,100 @@ def test_incompatible_checkpoint_and_data(tmp_path, capsys):
                  "--data", str(tmp_path / "rd_data" / "test"),
                  "--out", str(tmp_path / "eval")])
     assert code == 2
+
+
+def test_train_seed_list_without_seed_is_usage_error(tmp_path, capsys):
+    cfg = tiny_pendulum_config(tmp_path)
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "runs"), "--seeds", ","])
+    assert code == 2
+    assert "no seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda meta: meta.pop("payload_crc32"),
+    lambda meta: meta.update(state_kind="field"),
+    lambda meta: meta.update(state_shape=[3]),
+], ids=["no_crc", "kind_vs_shape", "shape_vs_payload"])
+def test_dataset_meta_disagreeing_with_payload_exits_4(tmp_path, capsys, corrupt):
+    cfg = tiny_pendulum_config(tmp_path)
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    meta_path = tmp_path / "data" / "train" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    corrupt(meta)
+    meta_path.write_text(json.dumps(meta))
+    code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert "meta.json does not describe data.bin" in capsys.readouterr().err
+
+
+def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys):
+    cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
+                                                "optimizer": "adam", "patience": None})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+          "--out", str(tmp_path / "run")])
+    manifest_path = tmp_path / "run" / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["arrays"] = [a for a in manifest["arrays"] if a["name"] != "physics.alpha"]
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 4
+    assert "physics.alpha" in capsys.readouterr().err
+
+
+def test_evaluate_all_trajectories_diverging_exits_3(tmp_path, capsys):
+    cfg = tiny_pendulum_config(tmp_path)
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    family = make_family("pendulum", "omega0_alpha", init={"omega0_sq": 1e300, "alpha": 1e300})
+    save_checkpoint(AugmentedDynamics(family, None), tmp_path / "checkpoint")
+    with np.errstate(all="ignore"):
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint"),
+                     "--data", str(tmp_path / "data" / "test"),
+                     "--out", str(tmp_path / "eval")])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+
+FIELD_CONFIGS = {
+    "reacdiff": {
+        "physics": "complete",
+        "dataset": {"n_train": 2, "n_valid": 1, "n_test": 1, "grid": 8, "horizon": 0.2},
+        "physics_init": {"a": 5e-4, "b": 5e-4, "k": 1e-3},
+        "train": {"n_epochs": 1, "n_iter": 1, "batch_size": 2, "tau1": 1e-3,
+                  "optimizer": "adam", "patience": None, "max_steps": 2},
+    },
+    "wave": {
+        "physics": "incomplete",
+        "dataset": {"n_train": 2, "n_valid": 1, "n_test": 1, "grid": 8, "n_steps": 3},
+        "physics_init": {"c": 200.0},
+        "train": {"n_epochs": 1, "n_iter": 1, "batch_size": 2, "tau1": 1e-4,
+                  "optimizer": "sgd", "max_grad_norm": 100.0, "patience": None,
+                  "max_steps": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("system,variant", [("reacdiff", "abk"), ("wave", "c")])
+def test_field_system_round_trip(tmp_path, capsys, system, variant):
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps({"name": system, "system": system, "augmentation": "convnet",
+                               "mode": "aphynity", "seed": 0, **FIELD_CONFIGS[system]}))
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(data / "test"), "--train-data", str(data / "train"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    rows = load_metrics_rows(tmp_path / "eval" / "metrics.csv")
+    assert np.isfinite(float(rows[0]["log_mse"]))
+    model, _ = load_checkpoint(run / "checkpoint")
+    summary = json.loads((run / "summary.json").read_text())
+    assert model.physical.variant == variant
+    assert model.physical.dx == load_dataset(data / "train").grid["dx"]
+    assert model.physical.param_values() == summary["final_params"]

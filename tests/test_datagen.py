@@ -5,7 +5,7 @@ from aphynity.datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset, pendulum_rhs_np,
 )
-from aphynity.integrators import StateSpec, rk4_step
+from aphynity.integrators import rk4_step
 
 
 def test_pendulum_dataset_shape_and_metadata():
@@ -186,10 +186,11 @@ def test_load_missing_directory(tmp_path):
 
 def test_dataset_validates_invariants():
     with pytest.raises(ValueError):
-        Dataset(system="pendulum", split="train", spec=StateSpec("vector", (2,)),
-                dt=0.5, trajectories=np.zeros((3, 1, 2)), true_params={},
-                noise_sigma=0.0, seed=0)
+        Dataset(system="pendulum", split="train", dt=0.5, trajectories=np.zeros((3, 1, 2)),
+                true_params={}, noise_sigma=0.0, seed=0)
     with pytest.raises(ValueError):
-        Dataset(system="pendulum", split="nope", spec=StateSpec("vector", (2,)),
-                dt=0.5, trajectories=np.zeros((3, 4, 2)), true_params={},
-                noise_sigma=0.0, seed=0)
+        Dataset(system="pendulum", split="nope", dt=0.5, trajectories=np.zeros((3, 4, 2)),
+                true_params={}, noise_sigma=0.0, seed=0)
+    with pytest.raises(ValueError, match="rank 4"):
+        Dataset(system="reacdiff", split="train", dt=0.1, trajectories=np.zeros((3, 4, 8, 8)),
+                true_params={}, noise_sigma=0.0, seed=0)

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 import aphynity.diffcore as dc
 from aphynity.diffcore import Tensor, backward
 from aphynity.integrators import (
-    BlowUpError, StateSpec, StepUnderflowError,
+    BlowUpError, StepUnderflowError,
     dopri5, euler_fine, integrate, rk4_step,
 )
 
@@ -189,12 +189,3 @@ def test_euler_fine_periodic_diffusion_conserves_mass():
     out = euler_fine(diffusion, u0, 1e-3, 2000, 100)
     masses = out.sum(axis=(1, 2))
     assert np.max(np.abs(masses - masses[0]) / abs(masses[0])) < 1e-10
-
-
-def test_statespec_validation():
-    assert StateSpec("vector", (2,)).length == 2
-    assert StateSpec("field", (2, 8, 8)).length == 128
-    with pytest.raises(ValueError):
-        StateSpec("field", (8, 8))
-    with pytest.raises(ValueError):
-        StateSpec("matrix", (2, 2))

@@ -3,7 +3,6 @@ import pytest
 
 from aphynity.augments import MlpAugmentation, MlpSpec
 from aphynity.datagen import Dataset, gen_pendulum
-from aphynity.integrators import StateSpec
 from aphynity.metrics import (
     MetricsRecord, evaluate, load_metrics_rows, log_mse, param_error_pct,
     reported_params, write_metrics_csv, write_metrics_json,
@@ -158,7 +157,7 @@ def test_evaluate_excludes_diverging_trajectories():
 
     states = np.ones((2, 9, 1))
     states[0, 0, 0] = 1e-200  # survives the explosive growth; the other overflows
-    ds = Dataset(system="toy", split="test", spec=StateSpec("vector", (1,)), dt=0.2,
+    ds = Dataset(system="toy", split="test", dt=0.2,
                  trajectories=states, true_params={"a": 1.0}, noise_sigma=0.0, seed=0)
     model = AugmentedDynamics(Unstable(), None)
     with np.errstate(all="ignore"):

@@ -100,7 +100,7 @@ def test_laplacian_4th_order_is_more_accurate_on_smooth_field():
 
 
 def test_reacdiff_uniform_zero_state_reaction_only():
-    fam = ReactionDiffusionDynamics(True, dx=1.0, init={"a": 1e-3, "b": 5e-3, "k": 5e-3})
+    fam = ReactionDiffusionDynamics("abk", init={"a": 1e-3, "b": 5e-3, "k": 5e-3}, dx=1.0)
     x = Tensor(np.zeros((1, 2, 8, 8)))
     out = fam.rhs(x).values
     np.testing.assert_allclose(out[0, 0], -0.005, rtol=1e-12)
@@ -108,14 +108,14 @@ def test_reacdiff_uniform_zero_state_reaction_only():
 
 
 def test_reacdiff_uniform_field_diffusion_only_is_zero():
-    fam = ReactionDiffusionDynamics(False, dx=1.0, init={"a": 2.0, "b": 3.0})
+    fam = ReactionDiffusionDynamics("ab", init={"a": 2.0, "b": 3.0}, dx=1.0)
     x = Tensor(np.full((1, 2, 6, 6), 0.8))
     np.testing.assert_allclose(fam.rhs(x).values, 0.0, atol=1e-14)
 
 
 def test_reacdiff_reaction_formula():
     k = 5e-3
-    fam = ReactionDiffusionDynamics(True, dx=1.0, init={"a": 1e-3, "b": 5e-3, "k": k})
+    fam = ReactionDiffusionDynamics("abk", init={"a": 1e-3, "b": 5e-3, "k": k}, dx=1.0)
     x = np.zeros((1, 2, 6, 6))
     x[0, 0] = 1.0  # u = 1, v = 0, uniform so diffusion vanishes
     out = fam.rhs(Tensor(x)).values
@@ -125,7 +125,7 @@ def test_reacdiff_reaction_formula():
 
 def test_reacdiff_gradcheck():
     rng = np.random.default_rng(21)
-    fam = ReactionDiffusionDynamics(True, dx=0.5, init={"a": 0.01, "b": 0.02, "k": 0.005})
+    fam = ReactionDiffusionDynamics("abk", init={"a": 0.01, "b": 0.02, "k": 0.005}, dx=0.5)
     x = Tensor(rng.random((2, 2, 4, 4)), requires_grad=True)
     leaves = [x] + fam.params.tensors()
 
@@ -136,14 +136,14 @@ def test_reacdiff_gradcheck():
 
 
 def test_wave_static_flat_field():
-    fam = DampedWaveDynamics(True, init={"c": 2.0, "k": 50.0})
+    fam = DampedWaveDynamics("ck", init={"c": 2.0, "k": 50.0}, dx=1.0)
     x = np.zeros((1, 2, 5, 5))
     x[0, 0] = 3.0
     np.testing.assert_allclose(fam.rhs(Tensor(x)).values, 0.0, atol=1e-12)
 
 
 def test_wave_damping_of_uniform_velocity():
-    fam = DampedWaveDynamics(True, init={"c": 2.0, "k": 50.0})
+    fam = DampedWaveDynamics("ck", init={"c": 2.0, "k": 50.0}, dx=1.0)
     x = np.zeros((1, 2, 5, 5))
     x[0, 1] = 0.7
     out = fam.rhs(Tensor(x)).values
@@ -152,7 +152,7 @@ def test_wave_damping_of_uniform_velocity():
 
 
 def test_wave_reduces_to_laplacian():
-    fam = DampedWaveDynamics(False, dx=1.0, init={"c": 1.0 + 1e-9}, floors={"c": 1e-6})
+    fam = DampedWaveDynamics("c", init={"c": 1.0 + 1e-9}, dx=1.0)
     bump = np.zeros((1, 2, 7, 7))
     bump[0, 0, 3, 3] = 1.0
     out = fam.rhs(Tensor(bump)).values
@@ -162,7 +162,7 @@ def test_wave_reduces_to_laplacian():
 
 def test_wave_gradcheck():
     rng = np.random.default_rng(33)
-    fam = DampedWaveDynamics(True, init={"c": 1.5, "k": 2.0})
+    fam = DampedWaveDynamics("ck", init={"c": 1.5, "k": 2.0}, dx=1.0)
     x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
     leaves = [x] + fam.params.tensors()
 
@@ -180,9 +180,8 @@ def test_constrained_param_above_floor():
 
 
 def test_constrained_param_inverse_roundtrip():
-    cp = ConstrainedParam("p", 1e-4)
     for target in (1e-3, 0.274, 42.0):
-        cp.set(target)
+        cp = ConstrainedParam("p", 1e-4, init=target)
         assert cp.item() == pytest.approx(target, abs=1e-10)
 
 

@@ -6,7 +6,7 @@ import aphynity.diffcore as dc
 from aphynity.augments import MlpAugmentation, MlpSpec
 from aphynity.datagen import Dataset, gen_pendulum
 from aphynity.diffcore import ParamSet, Tensor, backward
-from aphynity.integrators import StateSpec, integrate
+from aphynity.integrators import integrate
 from aphynity.models import AugmentedDynamics
 from aphynity.physics import make_family
 from aphynity.training import (
@@ -39,9 +39,8 @@ def scalar_dataset(a_true=-0.7, n_traj=6, steps=8, dt=0.2, seed=0):
     x0 = rng.uniform(0.5, 2.0, size=(n_traj, 1))
     t = dt * np.arange(steps + 1)
     states = x0[:, None, :] * np.exp(a_true * t)[None, :, None]
-    return Dataset(system="toy", split="train", spec=StateSpec("vector", (1,)),
-                   dt=dt, trajectories=states, true_params={"a": a_true},
-                   noise_sigma=0.0, seed=seed)
+    return Dataset(system="toy", split="train", dt=dt, trajectories=states,
+                   true_params={"a": a_true}, noise_sigma=0.0, seed=seed)
 
 
 def small_pendulum_data(alpha=0.2, sigma=0.0, seed=0, split="train", n_traj=8, steps=20):
