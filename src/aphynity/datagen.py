@@ -3,9 +3,12 @@
 Each system gets its own high-accuracy simulator, deliberately different
 from the fixed-step solver used at training time: adaptive Dormand-Prince
 for the pendulum, fine-step explicit Euler for reaction-diffusion, and
-fine-step RK4 with a 4th-order Laplacian for the damped wave.
+fine-step RK4 with a 4th-order Laplacian for the damped wave.  Each
+simulator advances a whole split as one array; the pendulum's integrates
+its trajectories in lock-step, each with its own adaptive step control.
 
-Per-trajectory RNG streams are derived from ``(seed, split, index)``, so
+Per-trajectory RNG streams are derived from ``(seed, split, index)``, and a
+pendulum trajectory's steps do not depend on the others in its batch, so
 generation order and parallelism cannot change the data.
 
 A dataset on disk is a directory: ``meta.json`` carries the schema version,
@@ -138,22 +141,23 @@ def gen_pendulum(n_traj: int = 25, steps: int = 40, dt: float = 0.5,
     """Damped-pendulum trajectories from random initial swings.
 
     Initial conditions are ``theta0 ~ U(-pi/2, pi/2)``, ``v0 ~ U(-1, 1)``;
-    the simulator is adaptive Dormand-Prince; ``sigma`` of white Gaussian
-    noise is added to every state entry afterwards.
+    the simulator is adaptive Dormand-Prince, run on all trajectories at
+    once with per-trajectory step control; ``sigma`` of white Gaussian noise
+    is added to every state entry afterwards.  Each stream draws its two
+    initial uniforms, then its noise.
     """
     if not t0_period > 0 or alpha < 0:
         raise ValueError("t0_period must be positive and alpha non-negative")
     omega0_sq = (2.0 * np.pi / t0_period) ** 2
     rhs = pendulum_rhs_np(omega0_sq, alpha)
     t_grid = dt * np.arange(steps + 1)
-    out = np.empty((n_traj, steps + 1, 2))
-    for i in range(n_traj):
-        rng = _stream(seed, split, i)
-        x0 = np.array([rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-1.0, 1.0)])
-        traj = dopri5(rhs, x0, t_grid)
-        if sigma > 0:
-            traj = traj + sigma * rng.standard_normal(traj.shape)
-        out[i] = traj
+    rngs = [_stream(seed, split, i) for i in range(n_traj)]
+    x0 = np.array([[rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-1.0, 1.0)]
+                   for rng in rngs]).reshape(n_traj, 2)
+    out = np.ascontiguousarray(dopri5(rhs, x0, t_grid).transpose(1, 0, 2))
+    if sigma > 0:
+        for i, rng in enumerate(rngs):
+            out[i] += sigma * rng.standard_normal(out[i].shape)
     return Dataset(
         system="pendulum", split=split, dt=dt, trajectories=out,
         true_params={"omega0_sq": omega0_sq, "alpha": alpha, "t0_period": t0_period},
@@ -289,7 +293,10 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"meta.json is not valid JSON: {exc}") from exc
     if meta.get("format_version") != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {meta.get('format_version')!r}")
-    payload = (path / "data.bin").read_bytes()
+    try:
+        payload = (path / "data.bin").read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read data.bin: {exc}") from exc
     try:
         if len(payload) != meta["payload_bytes"]:
             raise DatasetError("data.bin is truncated")

@@ -110,52 +110,81 @@ def dopri5(f, x0, t_grid, rtol: float = 1e-8, atol: float = 1e-10,
     ``t_grid`` must be strictly increasing and start at 0.  Returns the states
     at the grid times, shape ``(len(t_grid), *x0.shape)``.  Simulation only:
     no gradients flow through this.
+
+    An ``x0`` of rank >= 2 holds independent problems along its leading axis.
+    They advance in lock-step: each iteration calls ``f`` once per stage on
+    the whole batch, while every row keeps its own time, step size, error
+    history and dense-output position, so a row's result is the same as if
+    it were integrated alone.  An ``x0`` of rank 0 or 1 is one problem.
+    ``max_steps`` bounds the lock-step iterations; exhausting it, or a live
+    row's step underflowing, raises ``StepUnderflowError``.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing and start at 0")
     y = np.array(x0, dtype=np.float64)
+    if y.ndim <= 1:  # a batch of one row; a 0-d state is wrapped twice
+        return dopri5(lambda yb: f(yb[0])[None], y[None], t_grid,
+                      rtol, atol, max_steps)[:, 0]
+    n = y.shape[0]
     out = np.empty((t_grid.size, *y.shape))
     out[0] = y
-    next_i = 1
     if t_grid.size == 1:
         return out
 
-    t_end = float(t_grid[-1])
-    t = 0.0
-    # conservative initial step from the first derivative's magnitude
-    f0 = f(y)
-    scale0 = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale0) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale0) ** 2))
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(h, t_end)
+    def rms(v):
+        return np.sqrt(np.mean(v.reshape(n, -1) ** 2, axis=1))
 
-    err_prev = 1e-4
+    def per_row(v):
+        return v.reshape(-1, *(1,) * (y.ndim - 1))
+
+    t_end = float(t_grid[-1])
+    t = np.zeros(n)
+    next_i = np.ones(n, dtype=np.intp)
+    # conservative initial step from the first derivative's magnitude
+    scale0 = atol + rtol * np.abs(y)
+    d0 = rms(y / scale0)
+    d1 = rms(f(y) / scale0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where((d0 > 1e-5) & (d1 > 1e-5), 0.01 * d0 / d1, 1e-6)
+    h = np.minimum(h, t_end)
+
+    err_prev = np.full(n, 1e-4)
     for _ in range(max_steps):
-        if t >= t_end:
+        live = t < t_end
+        if not live.any():
             break
-        h = min(h, t_end - t)
-        if h < 16 * np.finfo(np.float64).eps * max(abs(t), 1.0):
-            raise StepUnderflowError(f"step size underflow at t={t}")
-        y_new, err_vec, k = _dp_step(f, y, h)
-        if not np.all(np.isfinite(y_new)):
-            h *= 0.25
-            continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            t_new = t + h
-            while next_i < t_grid.size and t_grid[next_i] <= t_new + 1e-14 * max(1.0, t_new):
-                theta = (t_grid[next_i] - t) / h
-                out[next_i] = y_new if theta >= 1.0 else _dp_interp(y, y_new, k, h, theta)
-                next_i += 1
-            t, y = t_new, y_new
-            factor = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            err_prev = max(err, 1e-10)
-        else:
-            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+        h = np.where(live, np.minimum(h, t_end - t), 0.0)
+        under = live & (h < 16 * np.finfo(np.float64).eps * np.maximum(np.abs(t), 1.0))
+        if under.any():
+            row = int(np.flatnonzero(under)[0])
+            raise StepUnderflowError(f"step size underflow in row {row} at t={t[row]}")
+        y_new, err_vec, k = _dp_step(f, y, per_row(h))
+        finite = np.isfinite(y_new.reshape(n, -1)).all(axis=1)
+        # rows that are finished (h = 0) or non-finite are masked out below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = rms(err_vec / scale)
+            accept = live & finite & (err <= 1.0)
+            grow = np.clip(np.where(err > 0, 0.9 * err ** -0.17 * err_prev ** 0.04, 5.0),
+                           0.2, 5.0)
+            shrink = np.where(finite, np.clip(0.9 * err ** -0.2, 0.2, 1.0), 0.25)
+        t_new = t + h
+        while True:
+            t_next = t_grid[np.minimum(next_i, t_grid.size - 1)]
+            due = (accept & (next_i < t_grid.size)
+                   & (t_next <= t_new + 1e-14 * np.maximum(1.0, t_new)))
+            if not due.any():
+                break
+            r = np.flatnonzero(due)
+            theta = per_row((t_grid[next_i[r]] - t[r]) / h[r])
+            dense = _dp_interp(y[r], y_new[r], [kk[r] for kk in k], per_row(h[r]), theta)
+            out[next_i[r], r] = np.where(theta >= 1.0, y_new[r], dense)
+            next_i[r] += 1
+        h = h * np.where(accept, grow, shrink)
+        err_prev = np.where(accept, np.maximum(err, 1e-10), err_prev)
+        t = np.where(accept, t_new, t)
+        y = np.where(per_row(accept), y_new, y)
     else:
         raise StepUnderflowError("dopri5 exceeded the step budget")
     return out

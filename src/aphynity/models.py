@@ -107,7 +107,10 @@ def save_checkpoint(model: AugmentedDynamics, path, extra: dict | None = None) -
 
 
 def _read_arrays(path: Path, manifest: dict) -> dict[str, np.ndarray]:
-    payload = (path / "params.bin").read_bytes()
+    try:
+        payload = (path / "params.bin").read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read params.bin: {exc}") from exc
     if len(payload) != manifest["payload_bytes"]:
         raise CheckpointError("params.bin is truncated")
     if zlib.crc32(payload) != manifest["payload_crc32"]:

@@ -259,6 +259,23 @@ def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys):
     assert "physics.alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["data/test/data.bin", "run/checkpoint/params.bin"],
+                         ids=["dataset", "checkpoint"])
+def test_evaluate_missing_payload_file_exits_4(tmp_path, capsys, missing):
+    cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
+                                                "optimizer": "adam", "patience": None})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+          "--out", str(tmp_path / "run")])
+    (tmp_path / missing).unlink()
+    capsys.readouterr()
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 4
+    assert f"cannot read {missing.rsplit('/', 1)[1]}" in capsys.readouterr().err
+
+
 def test_evaluate_all_trajectories_diverging_exits_3(tmp_path, capsys):
     cfg = tiny_pendulum_config(tmp_path)
     main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])

@@ -42,6 +42,12 @@ def test_pendulum_same_seed_reproduces_bytes():
     assert a.trajectories.tobytes() == b.trajectories.tobytes()
 
 
+def test_pendulum_trajectories_do_not_depend_on_split_size():
+    few = gen_pendulum(n_traj=3, steps=20, seed=9, split="valid")
+    more = gen_pendulum(n_traj=5, steps=20, seed=9, split="valid")
+    assert more.trajectories[:3].tobytes() == few.trajectories.tobytes()
+
+
 def test_pendulum_dopri5_agrees_with_finer_rk4_reference():
     ds = gen_pendulum(n_traj=3, steps=40, sigma=0.0, seed=5)
     rhs = pendulum_rhs_np(ds.true_params["omega0_sq"], ds.true_params["alpha"])

@@ -161,6 +161,65 @@ def test_dopri5_step_underflow_on_finite_time_blowup():
         dopri5(f, np.array(1.0), np.array([0.0, 2.0]))
 
 
+def _pendulum_rows(x):
+    return np.stack([x[..., 1], -0.27 * np.sin(x[..., 0]) - 0.2 * x[..., 1]], axis=-1)
+
+
+def _random_pendulum_starts(n):
+    rng = np.random.default_rng(41)
+    return np.stack([rng.uniform(-np.pi / 2, np.pi / 2, n), rng.uniform(-1.0, 1.0, n)], axis=1)
+
+
+def test_dopri5_batched_rows_match_solo_runs_bitwise():
+    x0 = _random_pendulum_starts(25)
+    t = 0.5 * np.arange(41)
+    batch = dopri5(_pendulum_rows, x0, t)
+    assert batch.shape == (41, 25, 2)
+    for i in range(len(x0)):
+        alone = dopri5(_pendulum_rows, x0[i:i + 1], t)[:, 0]
+        single = dopri5(_pendulum_rows, x0[i], t)
+        assert batch[:, i].tobytes() == alone.tobytes()
+        assert batch[:, i].tobytes() == single.tobytes()
+
+
+def test_dopri5_row_permutation_permutes_output():
+    x0 = _random_pendulum_starts(25)
+    t = 0.5 * np.arange(41)
+    perm = np.random.default_rng(5).permutation(len(x0))
+    batch = dopri5(_pendulum_rows, x0, t)
+    permuted = dopri5(_pendulum_rows, x0[perm], t)
+    assert permuted.tobytes() == batch[:, perm].tobytes()
+
+
+def test_dopri5_batched_dense_output_against_scipy():
+    # rows differ in damping, so each row's step control takes its own path
+    alphas = np.array([0.0, 0.2, 1.0, 3.0])
+    x0 = np.array([[1.3, -0.4], [0.2, 1.5], [-1.0, 0.0], [1.5, 2.0]])
+
+    def f(x):
+        return np.stack([x[:, 1], -0.5 * np.sin(x[:, 0]) - alphas * x[:, 1]], axis=1)
+
+    t = np.linspace(0.0, 10.0, 57)  # off-step sample times
+    ours = dopri5(f, x0, t)
+    for i, alpha in enumerate(alphas):
+        ref = solve_ivp(lambda _, y: [y[1], -0.5 * np.sin(y[0]) - alpha * y[1]],
+                        (0, 10), x0[i], method="RK45", t_eval=t, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(ours[:, i], ref.y.T, atol=5e-8)
+
+
+def test_dopri5_step_underflow_in_one_row_raises():
+    f = lambda x: x * x  # row 1 explodes at t = 1, row 0 not before t = 10
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepUnderflowError, match="row 1"):
+        dopri5(f, np.array([[0.1], [1.0]]), np.array([0.0, 2.0]))
+
+
+def test_dopri5_exhausted_step_budget_raises():
+    with pytest.raises(StepUnderflowError, match="step budget"):
+        dopri5(_pendulum_rows, _random_pendulum_starts(3), np.array([0.0, 20.0]),
+               max_steps=5)
+
+
 def test_euler_fine_constant_and_subsampling():
     out = euler_fine(ZERO, np.array([1.5]), 1e-3, 1000, 100)
     assert out.shape == (11, 1)
