@@ -101,15 +101,19 @@ def affine(x, w, b=None) -> Tensor:
         b = _wrap(b)
         if b.values.shape != (wv.shape[1],):
             raise ValueError(f"affine: bias shape {b.values.shape} != ({wv.shape[1]},)")
-        out = out + b.values
+        out += b.values
         edges.append((b, lambda g: g.sum(axis=0)))
     return _node(out, edges)
 
 
 def relu(x) -> Tensor:
+    """``max(x, 0)`` with NaN mapped to 0 and every zero output +0.0."""
     x = _wrap(x)
-    mask = x.values > 0
-    return _node(np.where(mask, x.values, 0.0), [(x, lambda g: g * mask)])
+    xv = x.values
+    out = np.fmax(xv, 0.0)
+    # fmax may keep -0.0 for some array lengths; adding +0.0 turns it into +0.0
+    out += 0.0
+    return _node(out, [(x, lambda g: g * (xv > 0))])
 
 
 def sin(x) -> Tensor:
@@ -202,9 +206,38 @@ def reshape(x, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution machinery (3x3 kernels, stride 1)
+# Padding and 2-D convolution (3x3 kernels, stride 1)
 
-_PAD_MODES = {"zero": "constant", "circular": "wrap"}
+_PAD_MODES = ("zero", "circular")
+
+
+def pad_boundary(field: np.ndarray, bc: str, width: int = 1) -> np.ndarray:
+    """Ghost cells on the last two axes of an array: a wrap for "periodic",
+    edge replication for "neumann_zero".
+
+    The result equals ``np.pad`` with mode "wrap" or "edge" bit for bit; it is
+    built from slice copies, which avoids ``np.pad``'s fixed per-call cost.
+    Both axes must be at least ``width`` long (a wider wrap would repeat).
+    """
+    if bc not in ("periodic", "neumann_zero"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    h, w = field.shape[-2:]
+    p = width
+    if min(h, w) < p:
+        raise ValueError(f"pad_boundary: grid {h}x{w} is narrower than the pad width {p}")
+    out = np.empty(field.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=field.dtype)
+    out[..., p:-p, p:-p] = field
+    if bc == "periodic":
+        out[..., p:-p, :p] = field[..., :, w - p:]
+        out[..., p:-p, -p:] = field[..., :, :p]
+        out[..., :p, :] = out[..., h:h + p, :]
+        out[..., -p:, :] = out[..., p:2 * p, :]
+    else:
+        out[..., p:-p, :p] = field[..., :, :1]
+        out[..., p:-p, -p:] = field[..., :, -1:]
+        out[..., :p, :] = out[..., p:p + 1, :]
+        out[..., -p:, :] = out[..., -p - 1:-p, :]
+    return out
 
 
 def _pad_fold(g: np.ndarray, mode: str) -> np.ndarray:
@@ -223,54 +256,110 @@ def pad2d(x, mode: str) -> Tensor:
     if mode not in _PAD_MODES:
         raise ValueError(f"unknown padding mode {mode!r}")
     x = _wrap(x)
-    if x.values.ndim != 4:
+    xv = x.values
+    if xv.ndim != 4:
         raise ValueError("pad2d expects a (B, C, H, W) tensor")
-    out = np.pad(x.values, ((0, 0), (0, 0), (1, 1), (1, 1)), mode=_PAD_MODES[mode])
+    if mode == "circular":
+        out = pad_boundary(xv, "periodic")
+    else:
+        b, c, h, w = xv.shape
+        out = np.empty((b, c, h + 2, w + 2))
+        out[:, :, 1:-1, 1:-1] = xv
+        out[:, :, ::h + 1, :] = 0.0      # first and last row
+        out[:, :, 1:-1, ::w + 1] = 0.0   # first and last column
     return _node(out, [(x, lambda g: _pad_fold(g, mode))])
 
 
 def _conv3x3(xp: Tensor, kernel: Tensor, bias) -> Tensor:
-    """Valid 3x3 convolution of a padded (B, C, H+2, W+2) tensor as nine shifted matmuls.
+    """Valid 3x3 convolution of a padded (B, C, H+2, W+2) tensor as shifted matmuls.
 
     Rows are flattened at the padded width ``wp``, so tap (di, dj) reads the
     window of ``span`` entries starting at ``di * wp + dj``.  Each output row
     then carries two junk columns: the forward pass drops them and the VJPs
     hold them at zero.
+
+    The grouping of the taps is read off the shapes.  One matmul per tap
+    has an inner dimension of only ``c_in`` and writes or updates the
+    ``c_out``-channel accumulator nine times, which is mostly memory traffic
+    when the input is thin.  So:
+
+    * ``c_in < c_out`` (such as the 2-channel state entering the ConvNet):
+      the nine tap windows are stacked into one ``(B, 9 * c_in, span)``
+      operand, and the forward pass is a single GEMM written straight into
+      the accumulator.  The x-VJP is one GEMM plus nine scatter-adds of
+      ``c_in`` channels.  The kernel VJP rebuilds the stack, so it is never
+      kept on the tape.
+    * otherwise: one matmul per tap; the first writes the accumulator and
+      the others add into it through one reused temporary.
+
+    Either way the forward pass's extra traffic (the stack, or the
+    accumulator updates) scales with ``min(c_in, c_out)``.
     """
     xv, kv = xp.values, kernel.values
     b, c, hp, wp = xv.shape
     o, h, w = kv.shape[0], hp - 2, wp - 2
     span = (h - 1) * wp + w
-    taps = [(di, dj, di * wp + dj) for di in range(3) for dj in range(3)]
+    offsets = [di * wp + dj for di in range(3) for dj in range(3)]
+    packed = c < o
     xf = np.ascontiguousarray(xv).reshape(b, c, hp * wp)
-    acc = np.zeros((b, o, h * wp))
-    for di, dj, off in taps:
-        acc[:, :, :span] += kv[:, :, di, dj] @ xf[:, :, off:off + span]
+    acc = np.empty((b, o, h * wp))
+    acc_span = acc[:, :, :span]
+
+    def stacked_taps():
+        st = np.empty((b, 9, c, span))
+        for t, off in enumerate(offsets):
+            st[:, t] = xf[:, :, off:off + span]
+        return st.reshape(b, 9 * c, span)
+
+    if packed:
+        # column t * c + ci of the packed kernel is kv[:, ci, di, dj], t = 3 * di + dj
+        kp = kv.transpose(0, 2, 3, 1).reshape(o, 9 * c)
+        np.matmul(kp, stacked_taps(), out=acc_span)
+    else:
+        tmp = np.empty((b, o, span))
+        for t, off in enumerate(offsets):
+            kt = kv[:, :, t // 3, t % 3]
+            if t == 0:
+                np.matmul(kt, xf[:, :, off:off + span], out=acc_span)
+            else:
+                np.matmul(kt, xf[:, :, off:off + span], out=tmp)
+                acc_span += tmp
     out = np.ascontiguousarray(acc.reshape(b, o, h, wp)[:, :, :, :w])
 
     def flat_rows(g):
-        gw = np.zeros((b, o, h, wp))
+        gw = np.empty((b, o, h, wp))
         gw[:, :, :, :w] = g
+        gw[:, :, :, w:] = 0.0
         return gw.reshape(b, o, h * wp)[:, :, :span]
 
     def vjp_x(g):
         gf = flat_rows(g)
         gx = np.zeros((b, c, hp * wp))
-        for di, dj, off in taps:
-            gx[:, :, off:off + span] += kv[:, :, di, dj].T @ gf
+        if packed:
+            gst = kp.T @ gf
+            for t, off in enumerate(offsets):
+                gx[:, :, off:off + span] += gst[:, t * c:(t + 1) * c]
+        else:
+            tmp = np.empty((b, c, span))
+            for t, off in enumerate(offsets):
+                np.matmul(kv[:, :, t // 3, t % 3].T, gf, out=tmp)
+                gx[:, :, off:off + span] += tmp
         return gx.reshape(xv.shape)
 
     def vjp_k(g):
         gf = flat_rows(g)
+        if packed:
+            gkp = (gf @ stacked_taps().transpose(0, 2, 1)).sum(axis=0)
+            return np.ascontiguousarray(gkp.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
         gk = np.empty_like(kv)
-        for di, dj, off in taps:
-            gk[:, :, di, dj] = (gf @ xf[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+        for t, off in enumerate(offsets):
+            gk[:, :, t // 3, t % 3] = (gf @ xf[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
         return gk
 
     edges = [(xp, vjp_x), (kernel, vjp_k)]
     if bias is not None:
-        out = out + bias.values[None, :, None, None]
-        edges.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+        out += bias.values[None, :, None, None]
+        edges.append((bias, lambda g: np.einsum("bcn->c", g.reshape(b, o, h * w))))
     return _node(out, edges)
 
 
@@ -298,18 +387,6 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
 # ---------------------------------------------------------------------------
 # 5-point Laplacian
 
-_BC_PAD_MODES = {"periodic": "wrap", "neumann_zero": "edge"}
-
-
-def pad_boundary(field: np.ndarray, bc: str, width: int = 1) -> np.ndarray:
-    """Ghost cells on the last two axes of an array: a wrap for "periodic",
-    edge replication for "neumann_zero"."""
-    if bc not in _BC_PAD_MODES:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    pad = [(0, 0)] * (field.ndim - 2) + [(width, width), (width, width)]
-    return np.pad(field, pad, mode=_BC_PAD_MODES[bc])
-
-
 def laplacian_stencil(field: np.ndarray, bc: str, dx: float) -> np.ndarray:
     """5-point Laplacian of the last two axes of an array.
 
@@ -336,33 +413,41 @@ def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:
     No running statistics are kept: every pass, training or evaluation, uses
     the statistics of the batch it is given, so a sample's output depends on
     the other samples in its batch.
+
+    The forward pass and the VJPs reduce on the contiguous ``(B, C, H*W)``
+    view of their operands, with ``einsum`` so that sums of products build
+    no temporary array.
     """
     x, scale, shift = _wrap(x), _wrap(scale), _wrap(shift)
     xv = x.values
     if xv.ndim != 4:
         raise ValueError("batchnorm2d expects a (B, C, H, W) tensor")
-    c = xv.shape[1]
+    b, c = xv.shape[:2]
     if scale.values.shape != (c,) or shift.values.shape != (c,):
         raise ValueError("batchnorm2d scale/shift must have shape (C,)")
-    axes = (0, 2, 3)
-    n = xv.shape[0] * xv.shape[2] * xv.shape[3]
-    m = xv.mean(axis=axes, keepdims=True)
-    centered = xv - m
-    var = np.mean(centered * centered, axis=axes, keepdims=True)
+    xr = xv.reshape(b, c, -1)
+    n = b * xr.shape[2]
+    xhat = xr - (np.einsum("bcn->c", xr) / n)[:, None]
+    var = np.einsum("bcn,bcn->c", xhat, xhat) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    sc = scale.values[None, :, None, None]
-    out = sc * xhat + shift.values[None, :, None, None]
+    xhat *= inv_std[:, None]
+    sc = scale.values
+    out = xhat * sc[:, None]
+    out += shift.values[:, None]
 
     def vjp_x(g):
-        gxhat = g * sc
         # standard batch-norm gradient through mean and variance
-        term = gxhat - gxhat.mean(axis=axes, keepdims=True) \
-            - xhat * np.mean(gxhat * xhat, axis=axes, keepdims=True)
-        return term * inv_std
+        gr = g.reshape(b, c, -1)
+        mean_g = np.einsum("bcn->c", gr) / n
+        mean_gx = np.einsum("bcn,bcn->c", gr, xhat) / n
+        gx = xhat * mean_gx[:, None]
+        np.subtract(gr, gx, out=gx)
+        gx -= mean_g[:, None]
+        gx *= (sc * inv_std)[:, None]
+        return gx.reshape(xv.shape)
 
-    return _node(out, [
+    return _node(out.reshape(xv.shape), [
         (x, vjp_x),
-        (scale, lambda g: np.sum(g * xhat, axis=axes)),
-        (shift, lambda g: np.sum(g, axis=axes)),
+        (scale, lambda g: np.einsum("bcn,bcn->c", g.reshape(b, c, -1), xhat)),
+        (shift, lambda g: np.einsum("bcn->c", g.reshape(b, c, -1))),
     ])

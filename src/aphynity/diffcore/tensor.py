@@ -4,6 +4,11 @@ Every operation builds a node in a dynamic DAG; ``backward`` walks the DAG
 in reverse topological order and accumulates vector-Jacobian products into
 the leaf gradients.  The op set is deliberately small: exactly what the
 dynamics models, the unrolled integrator and the training losses need.
+
+A VJP must not write into the gradient ``g`` it is given, nor into its own
+output after returning it: ``backward`` passes one array on to several
+parents without copying (``add`` returns ``g`` itself to both operands,
+``reshape`` a view of it) and sums contributions out of place.
 """
 
 from __future__ import annotations
@@ -178,9 +183,9 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
                 contrib = vjp(g)
                 key = id(parent)
                 if key in inflight:
-                    inflight[key] += contrib
+                    inflight[key] = inflight[key] + contrib
                 else:
-                    inflight[key] = np.array(contrib, dtype=np.float64, copy=True)
+                    inflight[key] = contrib
         elif node.requires_grad:
             if node.grad is None:
                 node.grad = np.array(g, dtype=np.float64, copy=True)

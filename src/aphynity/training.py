@@ -363,16 +363,18 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
         if out_of_budget:
             break
 
+    # the final parameters are those of a recorded epoch: the restored best
+    # one, or else the last one, so its |F_a|^2 is already known
+    final_record = report.records[-1] if report.records else None
     if best_state is not None:
         model.params.load_state(best_state)
         report.best_epoch = best_epoch
+        final_record = report.records[best_epoch - 1]
 
     report.final_lambda = lam
     report.final_params = model.physical_param_values()
     report.total_steps = steps
-    if model.augmentation is not None and not report.diverged:
-        with dc.no_grad():
-            report.final_fa_norm_sq = float(augmentation_norm_sq(
-                model.augmentation, train.all_states()).values)
+    if not report.diverged and final_record is not None:
+        report.final_fa_norm_sq = final_record.fa_norm_sq
     report.wall_time_s = time.perf_counter() - started
     return report

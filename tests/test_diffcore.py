@@ -3,6 +3,8 @@ import pytest
 
 import aphynity.diffcore as dc
 from aphynity.diffcore import ParamSet, Tensor, backward
+from aphynity.diffcore.ops import pad_boundary
+from aphynity.diffcore.tensor import _toposort
 
 from helpers import conv2d_direct, gradcheck, make_tensor
 
@@ -106,12 +108,17 @@ def test_primitive_gradcheck(name):
     assert gradcheck(build, leaves) < GRADCHECK_TOL
 
 
+# c_in < c_out runs the stacked-tap GEMM, the others the per-tap loop
+CONV_CHANNELS = [(2, 4), (4, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
 @pytest.mark.parametrize("padding", ["zero", "circular"])
-def test_conv2d_gradcheck(padding):
+def test_conv2d_gradcheck(padding, c_in, c_out):
     rng = np.random.default_rng(11)
-    x = make_tensor(rng, (2, 3, 5, 6))
-    k = make_tensor(rng, (4, 3, 3, 3), scale=0.5)
-    b = make_tensor(rng, (4,), scale=0.1)
+    x = make_tensor(rng, (2, c_in, 5, 6))
+    k = make_tensor(rng, (c_out, c_in, 3, 3), scale=0.5)
+    b = make_tensor(rng, (c_out,), scale=0.1)
 
     def build():
         return dc.sum_all(dc.square(dc.conv2d(x, k, b, padding=padding)))
@@ -129,11 +136,12 @@ def test_laplacian_is_self_adjoint(bc):
     np.testing.assert_allclose(np.sum(lx * y), np.sum(x * ly), rtol=1e-12)
 
 
-def test_conv2d_matches_direct_sum():
+@pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
+def test_conv2d_matches_direct_sum(c_in, c_out):
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 2, 5, 7))
-    k = rng.standard_normal((4, 2, 3, 3))
-    bias = rng.standard_normal(4)
+    x = rng.standard_normal((3, c_in, 5, 7))
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    bias = rng.standard_normal(c_out)
     for padding in ("zero", "circular"):
         out = dc.conv2d(Tensor(x), Tensor(k), Tensor(bias), padding=padding).values
         expected = conv2d_direct(x, k, padding) + bias[None, :, None, None]
@@ -149,6 +157,48 @@ def test_pad2d_gradcheck(mode):
         return dc.sum_all(dc.square(dc.pad2d(x, mode)))
 
     assert gradcheck(build, [x]) < GRADCHECK_TOL
+
+
+def test_pad2d_equals_np_pad():
+    rng = np.random.default_rng(37)
+    for shape in [(2, 3, h, w) for h in range(1, 6) for w in range(1, 6)]:
+        x = rng.standard_normal(shape)
+        for mode, np_mode in (("zero", "constant"), ("circular", "wrap")):
+            expected = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode=np_mode)
+            got = dc.pad2d(Tensor(x), mode).values
+            assert got.tobytes() == expected.tobytes(), (shape, mode)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_pad_boundary_equals_np_pad(width):
+    rng = np.random.default_rng(41)
+    shapes = [(2, 1, h, w) for h in range(1, 6) for w in range(1, 6)] + [(3, 4), (2, 2, 2, 4, 5)]
+    for shape in shapes:
+        field = rng.standard_normal(shape)
+        for bc, np_mode in (("periodic", "wrap"), ("neumann_zero", "edge")):
+            if min(shape[-2:]) < width:
+                with pytest.raises(ValueError):
+                    pad_boundary(field, bc, width)
+                continue
+            expected = np.pad(field, [(0, 0)] * (field.ndim - 2) + [(width, width)] * 2,
+                              mode=np_mode)
+            got = pad_boundary(field, bc, width)
+            assert got.shape == expected.shape, (shape, bc)
+            assert got.tobytes() == expected.tobytes(), (shape, bc)
+
+
+def test_relu_pins_nan_and_signed_zero():
+    # the values of np.where(x > 0, x, 0): NaN and -0.0 map to +0.0
+    x = np.array([np.nan, -0.0, -1.0, 0.0, 2.0])
+    xt = Tensor._interior(x, (), ())  # a leaf Tensor would reject the NaN
+    out = dc.relu(xt)
+    np.testing.assert_array_equal(out.values, [0.0, 0.0, 0.0, 0.0, 2.0])
+    assert not np.signbit(out.values).any()
+    backward(dc.sum_all(out))
+    np.testing.assert_array_equal(xt.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
+    # np.fmax alone keeps -0.0 at some lengths
+    for n in (17, 1000, 100001):
+        assert not np.signbit(dc.relu(Tensor(np.full(n, -0.0))).values).any(), n
 
 
 def test_batchnorm_gradcheck():
@@ -216,6 +266,39 @@ def test_forward_backward_determinism():
     assert o1 == o2
     np.testing.assert_array_equal(gx1, gx2)
     np.testing.assert_array_equal(gk1, gk2)
+
+
+def test_backward_never_writes_an_array_passed_to_a_vjp():
+    # add(a, a) hands the same g to both operands, a feeds three ops, and the
+    # narrow/reshape chain passes views of g on to its parents
+    rng = np.random.default_rng(43)
+    a = make_tensor(rng, (3, 4))
+    w = make_tensor(rng, (3, 4))
+
+    def build():
+        t = dc.mul(dc.add(a, a), w)
+        u = dc.add(dc.sin(a), dc.square(a))
+        r = dc.reshape(dc.narrow(dc.add(t, u), 1, 1, 2), (2, 3))
+        return dc.sum_all(dc.square(dc.add(r, r)))
+
+    assert gradcheck(build, [a, w]) < GRADCHECK_TOL
+
+    root = build()
+    passed = []
+
+    def watch(vjp):
+        def watched(g):
+            passed.append((g, np.array(g, copy=True)))
+            return vjp(g)
+        return watched
+
+    nodes = _toposort(root)
+    for node in nodes:
+        node._vjps = tuple(watch(fn) for fn in node._vjps)
+    backward(root)
+    assert len(passed) == sum(len(node._vjps) for node in nodes)
+    for g, before in passed:
+        np.testing.assert_array_equal(g, before)
 
 
 def test_grad_accumulates_across_reuse():

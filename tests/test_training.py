@@ -261,6 +261,31 @@ def test_max_steps_caps_updates():
     assert report.total_steps == 7
 
 
+@pytest.mark.parametrize("stop", ["early_stop", "max_steps", "no_patience"])
+def test_final_fa_norm_sq_equals_a_fresh_norm_pass(stop):
+    # fit reads final_fa_norm_sq from the record of the epoch whose parameters
+    # it ends with; that must be exactly a fresh pass over the split
+    data, valid = scalar_dataset(seed=1), scalar_dataset(seed=2)
+    model = AugmentedDynamics(
+        ScalarLinearFamily(-0.1),
+        MlpAugmentation(MlpSpec(in_dim=1, hidden=8, depth=1, out_dim=1), seed=7))
+    limits = {"early_stop": dict(n_epochs=200, patience=3),
+              "max_steps": dict(n_epochs=100, patience=None, max_steps=13),
+              "no_patience": dict(n_epochs=6, patience=None)}[stop]
+    cfg = TrainConfig(mode="aphynity", batch_size=2, tau1=0.05, optimizer="adam",
+                      seed=3, **limits)
+    report = fit(model, data, cfg, valid=valid)
+    if stop == "early_stop":
+        assert report.stopped_early and report.best_epoch < len(report.records)
+    elif stop == "max_steps":
+        assert report.total_steps == 13 and len(report.records) < cfg.n_epochs
+    else:
+        assert len(report.records) == cfg.n_epochs
+    with dc.no_grad():
+        fresh = float(augmentation_norm_sq(model.augmentation, data.all_states()).values)
+    assert report.final_fa_norm_sq == fresh
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="fancy")
