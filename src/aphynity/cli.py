@@ -87,10 +87,28 @@ def load_config(path, downscale: bool = False) -> dict:
     return cfg
 
 
+# Every key a config's ``dataset`` section may set, per system, with its default.
+DATASET_DEFAULTS = {
+    "pendulum": {"n_traj_per_split": 25, "steps": 40, "dt": 0.5, "t0_period": 12.0,
+                 "alpha": 0.2, "sigma": 0.01, "sigma_test": 0.0},
+    "reacdiff": {"n_train": 1440, "n_valid": 160, "n_test": 320, "grid": 32,
+                 "a": 1e-3, "b": 5e-3, "k": 5e-3, "dt_sim": 1e-3, "dt_data": 0.1,
+                 "horizon": 2.5, "t_init": -0.5},
+    "wave": {"n_train": 200, "n_valid": 25, "n_test": 25, "grid": 64, "c": 330.0,
+             "k": 50.0, "dt": 1e-3, "n_steps": 25, "sigma_lo": 10.0, "sigma_hi": 100.0},
+}
+
+
 def validate_config(cfg: dict) -> None:
     system = cfg.get("system")
-    if system not in ("pendulum", "reacdiff", "wave"):
+    if system not in DATASET_DEFAULTS:
         raise UsageError(f"unknown system {system!r}")
+    ds_cfg = cfg.get("dataset", {})
+    if not isinstance(ds_cfg, dict):
+        raise UsageError("the dataset section must be a JSON object")
+    unknown = sorted(set(ds_cfg) - set(DATASET_DEFAULTS[system]))
+    if unknown:
+        raise UsageError(f"unknown {system} dataset key(s): {', '.join(unknown)}")
     physics = cfg.get("physics", "none")
     if physics not in ("none", "incomplete", "complete", "true"):
         raise UsageError(f"unknown physics level {physics!r}")
@@ -185,40 +203,23 @@ def cmd_generate(args) -> int:
 
 
 def _generate_split(system: str, ds_cfg: dict, split: str, seed: int):
+    p = {**DATASET_DEFAULTS[system], **ds_cfg}
     if system == "pendulum":
-        sigma = ds_cfg.get("sigma", 0.01)
-        if split == "test":
-            sigma = ds_cfg.get("sigma_test", 0.0)
         return gen_pendulum(
-            n_traj=ds_cfg.get("n_traj_per_split", 25),
-            steps=ds_cfg.get("steps", 40), dt=ds_cfg.get("dt", 0.5),
-            t0_period=ds_cfg.get("t0_period", 12.0), alpha=ds_cfg.get("alpha", 0.2),
-            sigma=sigma, seed=seed, split=split)
+            n_traj=p["n_traj_per_split"], steps=p["steps"], dt=p["dt"],
+            t0_period=p["t0_period"], alpha=p["alpha"],
+            sigma=p["sigma_test" if split == "test" else "sigma"], seed=seed, split=split)
+    n_seq = p[f"n_{split}"]
+    if n_seq == 0:
+        return None
     if system == "reacdiff":
-        counts = {"train": ds_cfg.get("n_train", 1440),
-                  "valid": ds_cfg.get("n_valid", 160),
-                  "test": ds_cfg.get("n_test", 320)}
-        if counts[split] == 0:
-            return None
         return gen_reacdiff(
-            n_seq=counts[split], grid=ds_cfg.get("grid", 32),
-            a=ds_cfg.get("a", 1e-3), b=ds_cfg.get("b", 5e-3), k=ds_cfg.get("k", 5e-3),
-            dt_sim=ds_cfg.get("dt_sim", 1e-3), dt_data=ds_cfg.get("dt_data", 0.1),
-            horizon=ds_cfg.get("horizon", 2.5), t_init=ds_cfg.get("t_init", -0.5),
-            seed=seed, split=split)
-    if system == "wave":
-        counts = {"train": ds_cfg.get("n_train", 200),
-                  "valid": ds_cfg.get("n_valid", 25),
-                  "test": ds_cfg.get("n_test", 25)}
-        if counts[split] == 0:
-            return None
-        return gen_wave(
-            n_seq=counts[split], grid=ds_cfg.get("grid", 64), c=ds_cfg.get("c", 330.0),
-            k=ds_cfg.get("k", 50.0), dt=ds_cfg.get("dt", 1e-3),
-            n_steps=ds_cfg.get("n_steps", 25),
-            sigma_range=(ds_cfg.get("sigma_lo", 10.0), ds_cfg.get("sigma_hi", 100.0)),
-            seed=seed, split=split)
-    raise UsageError(f"unknown system {system!r}")
+            n_seq=n_seq, grid=p["grid"], a=p["a"], b=p["b"], k=p["k"],
+            dt_sim=p["dt_sim"], dt_data=p["dt_data"], horizon=p["horizon"],
+            t_init=p["t_init"], seed=seed, split=split)
+    return gen_wave(
+        n_seq=n_seq, grid=p["grid"], c=p["c"], k=p["k"], dt=p["dt"], n_steps=p["n_steps"],
+        sigma_range=(p["sigma_lo"], p["sigma_hi"]), seed=seed, split=split)
 
 
 def _train_one_seed(cfg: dict, data_dir: Path, out_dir: Path, seed: int) -> int:

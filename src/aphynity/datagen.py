@@ -11,22 +11,20 @@ Per-trajectory RNG streams are derived from ``(seed, split, index)``, and a
 pendulum trajectory's steps do not depend on the others in its batch, so
 generation order and parallelism cannot change the data.
 
-A dataset on disk is a directory: ``meta.json`` carries the schema version,
-recipe and a CRC32 of the payload; ``data.bin`` holds the trajectories as
-little-endian float64, laid out ``[trajectory][time][channel][row][col]``
-(vectors store the channel axis only).
+A dataset on disk is an artifact (see :mod:`aphynity.artifacts`):
+``meta.json`` carries the recipe and the array's shape; ``data.bin`` holds the
+trajectories laid out ``[trajectory][time][channel][row][col]`` (vectors
+store the channel axis only).
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import describing, load_artifact, save_artifact
 from .integrators import BlowUpError, dopri5, euler_fine, rk4_step
 from .physics import laplacian_np
 
@@ -109,15 +107,11 @@ def pendulum_rhs_np(omega0_sq: float, alpha: float):
     return rhs
 
 
-def reacdiff_rhs_np(a: float, b: float, k: float, dx: float,
-                    include_reaction: bool = True):
+def reacdiff_rhs_np(a: float, b: float, k: float, dx: float):
     def rhs(x):
         u, v = x[..., 0, :, :], x[..., 1, :, :]
-        du = a * laplacian_np(u, "periodic", dx)
-        dv = b * laplacian_np(v, "periodic", dx)
-        if include_reaction:
-            du = du + u - u**3 - k - v
-            dv = dv + u - v
+        du = a * laplacian_np(u, "periodic", dx) + u - u**3 - k - v
+        dv = b * laplacian_np(v, "periodic", dx) + u - v
         return np.stack([du, dv], axis=-3)
     return rhs
 
@@ -173,7 +167,7 @@ def _simulate_reacdiff_batch(x0, rhs, warm_steps, n_fine, keep_every, dt_sim):
 def gen_reacdiff(n_seq: int = 1920, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
                  k: float = 5e-3, dt_sim: float = 1e-3, dt_data: float = 0.1,
                  horizon: float = 2.5, t_init: float = -0.5, seed: int = 0,
-                 split: str = "train", include_reaction: bool = True) -> Dataset:
+                 split: str = "train") -> Dataset:
     """Reaction-diffusion sequences on a periodic square grid.
 
     Cells start i.i.d. uniform in [0, 1] at ``t_init``; a fine explicit-Euler
@@ -187,7 +181,7 @@ def gen_reacdiff(n_seq: int = 1920, grid: int = 32, a: float = 1e-3, b: float = 
     n_keep = round(horizon / dt_data)
     n_fine = n_keep * keep_every
     dx = 2.0 / (grid - 1)
-    rhs = reacdiff_rhs_np(a, b, k, dx, include_reaction=include_reaction)
+    rhs = reacdiff_rhs_np(a, b, k, dx)
     events: list = []
 
     def one_sequence(i: int) -> np.ndarray:
@@ -257,9 +251,6 @@ def gen_wave(n_seq: int = 250, grid: int = 64, c: float = 330.0, k: float = 50.0
 # persistence
 
 def save_dataset(ds: Dataset, path) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    payload = np.ascontiguousarray(ds.trajectories, dtype="<f8").tobytes()
     meta = {
         "format_version": DATASET_VERSION,
         "kind": "trajectory-dataset",
@@ -275,43 +266,22 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.seed,
         "grid": ds.grid,
         "events": ds.events,
-        "payload_bytes": len(payload),
-        "payload_crc32": zlib.crc32(payload),
     }
-    (path / "data.bin").write_bytes(payload)
-    (path / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    save_artifact(path, "meta.json", "data.bin", meta, ds.trajectories)
 
 
 def load_dataset(path) -> Dataset:
-    path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.exists():
-        raise DatasetError(f"no meta.json under {path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"meta.json is not valid JSON: {exc}") from exc
-    if meta.get("format_version") != DATASET_VERSION:
-        raise DatasetError(f"unsupported dataset version {meta.get('format_version')!r}")
-    try:
-        payload = (path / "data.bin").read_bytes()
-    except OSError as exc:
-        raise DatasetError(f"cannot read data.bin: {exc}") from exc
-    try:
-        if len(payload) != meta["payload_bytes"]:
-            raise DatasetError("data.bin is truncated")
-        if zlib.crc32(payload) != meta["payload_crc32"]:
-            raise DatasetError("data.bin failed its checksum")
+    meta, values = load_artifact(path, "meta.json", "data.bin", DATASET_VERSION, DatasetError)
+    with describing("meta.json", "data.bin", DatasetError):
         shape = (meta["n_traj"], meta["n_states"], *meta["state_shape"])
-        data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        if min(shape) < 1:
+            raise ValueError(f"non-positive dimension in {shape}")
         ds = Dataset(
-            system=meta["system"], split=meta["split"], dt=meta["dt"], trajectories=data,
-            true_params=meta["true_params"], noise_sigma=meta["noise_sigma"],
-            seed=meta["seed"], grid=meta["grid"], events=meta.get("events", []))
+            system=meta["system"], split=meta["split"], dt=meta["dt"],
+            trajectories=values.reshape(shape), true_params=meta["true_params"],
+            noise_sigma=meta["noise_sigma"], seed=meta["seed"], grid=meta["grid"],
+            events=meta.get("events", []))
         if ds.state_kind != meta["state_kind"]:
             raise ValueError(f"state_kind {meta['state_kind']!r} disagrees with "
                              f"state_shape {meta['state_shape']}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(
-            f"meta.json does not describe data.bin: {type(exc).__name__}: {exc}") from exc
     return ds

@@ -1,20 +1,19 @@
 """The combined dynamics model and its on-disk checkpoint format.
 
-A model is a physical family, a learned residual, or their sum.  Checkpoints
-are a directory holding ``manifest.json`` (model description plus an array
-table of name/shape/byte-offset entries and a payload checksum) and
-``params.bin`` (the named arrays concatenated as little-endian float64).
+A model is a physical family, a learned residual, or their sum.  A checkpoint
+is an artifact (see :mod:`aphynity.artifacts`): ``manifest.json`` holds the
+model description and an array table of name/shape/byte-offset entries, and
+``params.bin`` the named arrays concatenated.
 """
 
 from __future__ import annotations
 
-import json
-import zlib
-from pathlib import Path
+import math
 
 import numpy as np
 
 from . import diffcore as dc
+from .artifacts import describing, load_artifact, save_artifact
 from .augments import make_augmentation
 from .diffcore import ParamSet, Tensor
 from .physics import PhysicalFamily, make_family
@@ -69,22 +68,9 @@ class AugmentedDynamics:
         return desc
 
 
-def _array_table(params: ParamSet):
-    entries = []
-    chunks = []
-    offset = 0
-    for name, tensor in params.items():
-        data = np.ascontiguousarray(tensor.values, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(tensor.values.shape), "offset": offset})
-        chunks.append(data)
-        offset += len(data)
-    return entries, b"".join(chunks)
-
-
-def save_checkpoint(model: AugmentedDynamics, path, extra: dict | None = None) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    # persist frozen physics parameters too, so restoration is exact
+def _stored_params(model: AugmentedDynamics) -> ParamSet:
+    """The arrays a checkpoint stores: the trainable parameters plus the raw
+    leaves of frozen physics, so restoration is exact."""
     store = ParamSet()
     store.adopt("", model.params)
     if model.physical is not None:
@@ -92,72 +78,44 @@ def save_checkpoint(model: AugmentedDynamics, path, extra: dict | None = None) -
             key = f"physics.{pname}"
             if key not in store:
                 store.add(key, raw)
-    entries, payload = _array_table(store)
+    return store
+
+
+def save_checkpoint(model: AugmentedDynamics, path, extra: dict | None = None) -> None:
+    store = _stored_params(model)
+    entries, offset = [], 0
+    for name, tensor in store.items():
+        entries.append({"name": name, "shape": list(tensor.values.shape), "offset": offset})
+        offset += tensor.values.nbytes
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "dynamics-checkpoint",
         "model": model.describe(),
         "arrays": entries,
-        "payload_bytes": len(payload),
-        "payload_crc32": zlib.crc32(payload),
         "extra": extra or {},
     }
-    (path / "params.bin").write_bytes(payload)
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-
-
-def _read_arrays(path: Path, manifest: dict) -> dict[str, np.ndarray]:
-    try:
-        payload = (path / "params.bin").read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read params.bin: {exc}") from exc
-    if len(payload) != manifest["payload_bytes"]:
-        raise CheckpointError("params.bin is truncated")
-    if zlib.crc32(payload) != manifest["payload_crc32"]:
-        raise CheckpointError("params.bin failed its checksum")
-    arrays = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=entry["offset"])
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return arrays
+    payload = np.concatenate([t.values.ravel() for t in store.tensors()])
+    save_artifact(path, "manifest.json", "params.bin", manifest, payload)
 
 
 def load_checkpoint(path) -> tuple[AugmentedDynamics, dict]:
     """Rebuild the model from a checkpoint directory; returns (model, extra)."""
-    path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise CheckpointError(f"no manifest.json under {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"manifest.json is not valid JSON: {exc}") from exc
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {manifest.get('format_version')!r}")
-    try:
-        arrays = _read_arrays(path, manifest)
+    manifest, values = load_artifact(path, "manifest.json", "params.bin",
+                                     CHECKPOINT_VERSION, CheckpointError)
+    with describing("manifest.json", "params.bin", CheckpointError):
         desc = manifest["model"]
-        physical = None
+        physical = augmentation = None
         if desc["physics"] is not None:
             p = desc["physics"]
             physical = make_family(p["system"], p["variant"], dx=p.get("dx"),
                                    trainable=p["trainable"])
-            for pname, raw in physical.raw_params().items():
-                raw.values = np.asarray(arrays[f"physics.{pname}"])
-        augmentation = None
         if desc["augmentation"] is not None:
             augmentation = make_augmentation(desc["augmentation"])
-            for name, tensor in augmentation.params.items():
-                src = arrays[f"augment.{name}"]
-                if src.shape != tensor.values.shape:
-                    raise CheckpointError(f"array {name!r} has shape {src.shape}, "
-                                          f"expected {tensor.values.shape}")
-                tensor.values = src
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"manifest.json does not describe params.bin: {type(exc).__name__}: {exc}") from exc
-    model = AugmentedDynamics(physical, augmentation)
+        model = AugmentedDynamics(physical, augmentation)
+        arrays = {}
+        for entry in manifest["arrays"]:
+            count = math.prod(entry["shape"])
+            arrays[entry["name"]] = np.frombuffer(
+                values, np.float64, count, entry["offset"]).reshape(entry["shape"])
+        _stored_params(model).load_state(arrays)
     return model, manifest.get("extra", {})

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ParamSet, Tensor
+from .diffcore import ParamSet, Tensor, laplacian
 from .diffcore.ops import laplacian_stencil, pad_boundary
 
 __all__ = [
@@ -91,11 +91,6 @@ def laplacian_np(field: np.ndarray, bc: str, dx: float, order: int = 2) -> np.nd
            - sh(0, -2) + 16 * sh(0, -1) + 16 * sh(0, 1) - sh(0, 2)
            - 60.0 * field)
     return out / (12.0 * dx * dx)
-
-
-def laplacian(field, bc: str, dx: float = 1.0) -> Tensor:
-    """Differentiable 5-point Laplacian of a field tensor (see :func:`diffcore.laplacian`)."""
-    return dc.laplacian(field, bc, dx)
 
 
 class PhysicalFamily:

@@ -228,7 +228,8 @@ def test_train_seed_list_without_seed_is_usage_error(tmp_path, capsys):
     lambda meta: meta.pop("payload_crc32"),
     lambda meta: meta.update(state_kind="field"),
     lambda meta: meta.update(state_shape=[3]),
-], ids=["no_crc", "kind_vs_shape", "shape_vs_payload"])
+    lambda meta: meta.update(n_traj=-1),
+], ids=["no_crc", "kind_vs_shape", "shape_vs_payload", "negative_n_traj"])
 def test_dataset_meta_disagreeing_with_payload_exits_4(tmp_path, capsys, corrupt):
     cfg = tiny_pendulum_config(tmp_path)
     main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
@@ -242,7 +243,19 @@ def test_dataset_meta_disagreeing_with_payload_exits_4(tmp_path, capsys, corrupt
     assert "meta.json does not describe data.bin" in capsys.readouterr().err
 
 
-def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys):
+def drop_array(arrays, name):
+    arrays[:] = [a for a in arrays if a["name"] != name]
+
+
+def reshape_array(arrays, name):
+    next(a for a in arrays if a["name"] == name)["shape"] = [2]
+
+
+@pytest.mark.parametrize("corrupt,name", [
+    (drop_array, "physics.alpha"),
+    (reshape_array, "physics.omega0_sq"),
+], ids=["missing", "wrong_shape"])
+def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys, corrupt, name):
     cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
                                                 "optimizer": "adam", "patience": None})
     main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
@@ -250,13 +263,13 @@ def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys):
           "--out", str(tmp_path / "run")])
     manifest_path = tmp_path / "run" / "checkpoint" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["arrays"] = [a for a in manifest["arrays"] if a["name"] != "physics.alpha"]
+    corrupt(manifest["arrays"], name)
     manifest_path.write_text(json.dumps(manifest))
     code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
                  "--data", str(tmp_path / "data" / "test"),
                  "--out", str(tmp_path / "eval")])
     assert code == 4
-    assert "physics.alpha" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("missing", ["data/test/data.bin", "run/checkpoint/params.bin"],
@@ -274,6 +287,49 @@ def test_evaluate_missing_payload_file_exits_4(tmp_path, capsys, missing):
                  "--out", str(tmp_path / "eval")])
     assert code == 4
     assert f"cannot read {missing.rsplit('/', 1)[1]}" in capsys.readouterr().err
+
+
+def header_not_object(path):
+    path.write_text("[1, 2]")
+
+
+def header_not_utf8(path):
+    path.write_bytes(b'{"format_version": 1, "kind": "\xff"}')
+
+
+def header_is_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("fault", [header_not_object, header_not_utf8, header_is_directory],
+                         ids=["not_object", "not_utf8", "directory"])
+@pytest.mark.parametrize("header", ["data/test/meta.json", "run/checkpoint/manifest.json"],
+                         ids=["dataset", "checkpoint"])
+def test_evaluate_bad_header_exits_4(tmp_path, capsys, header, fault):
+    cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
+                                                "optimizer": "adam", "patience": None})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+          "--out", str(tmp_path / "run")])
+    fault(tmp_path / header)
+    capsys.readouterr()
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 4
+    assert header.rsplit("/", 1)[1] in capsys.readouterr().err
+
+
+def test_generate_rejects_unknown_dataset_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({
+        "name": "typo", "system": "reacdiff", "physics": "incomplete",
+        "augmentation": "convnet", "mode": "aphynity",
+        "dataset": {"n_train": 1, "n_valid": 0, "n_test": 1, "gird": 8, "horizon": 0.2}}))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
+    assert "gird" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_evaluate_all_trajectories_diverging_exits_3(tmp_path, capsys):
