@@ -276,6 +276,10 @@ def load_dataset(path) -> Dataset:
         shape = (meta["n_traj"], meta["n_states"], *meta["state_shape"])
         if min(shape) < 1:
             raise ValueError(f"non-positive dimension in {shape}")
+        if not isinstance(meta["true_params"], dict):
+            raise TypeError(f"true_params is not a JSON object: {meta['true_params']!r}")
+        if not isinstance(meta["grid"], (dict, type(None))):
+            raise TypeError(f"grid is neither a JSON object nor null: {meta['grid']!r}")
         ds = Dataset(
             system=meta["system"], split=meta["split"], dt=meta["dt"],
             trajectories=values.reshape(shape), true_params=meta["true_params"],

@@ -251,116 +251,86 @@ def _pad_fold(g: np.ndarray, mode: str) -> np.ndarray:
     return np.ascontiguousarray(g[:, :, 1:-1, 1:-1])
 
 
-def pad2d(x, mode: str) -> Tensor:
-    """1-pixel spatial padding of a (B, C, H, W) tensor: zeros or a circular wrap."""
+def _pad(xv: np.ndarray, mode: str) -> np.ndarray:
+    """1-pixel padding of a (B, C, H, W) array: zeros or a circular wrap."""
     if mode not in _PAD_MODES:
         raise ValueError(f"unknown padding mode {mode!r}")
-    x = _wrap(x)
-    xv = x.values
-    if xv.ndim != 4:
-        raise ValueError("pad2d expects a (B, C, H, W) tensor")
     if mode == "circular":
-        out = pad_boundary(xv, "periodic")
-    else:
-        b, c, h, w = xv.shape
-        out = np.empty((b, c, h + 2, w + 2))
-        out[:, :, 1:-1, 1:-1] = xv
-        out[:, :, ::h + 1, :] = 0.0      # first and last row
-        out[:, :, 1:-1, ::w + 1] = 0.0   # first and last column
-    return _node(out, [(x, lambda g: _pad_fold(g, mode))])
+        return pad_boundary(xv, "periodic")
+    b, c, h, w = xv.shape
+    out = np.empty((b, c, h + 2, w + 2))
+    out[:, :, 1:-1, 1:-1] = xv
+    out[:, :, ::h + 1, :] = 0.0      # first and last row
+    out[:, :, 1:-1, ::w + 1] = 0.0   # first and last column
+    return out
 
 
-def _conv3x3(xp: Tensor, kernel: Tensor, bias) -> Tensor:
-    """Valid 3x3 convolution of a padded (B, C, H+2, W+2) tensor as shifted matmuls.
+def pad2d(x, mode: str) -> Tensor:
+    """1-pixel spatial padding of a (B, C, H, W) tensor: zeros or a circular wrap."""
+    x = _wrap(x)
+    if x.values.ndim != 4:
+        raise ValueError("pad2d expects a (B, C, H, W) tensor")
+    return _node(_pad(x.values, mode), [(x, lambda g: _pad_fold(g, mode))])
 
-    Rows are flattened at the padded width ``wp``, so tap (di, dj) reads the
-    window of ``span`` entries starting at ``di * wp + dj``.  Each output row
-    then carries two junk columns: the forward pass drops them and the VJPs
-    hold them at zero.
 
-    The grouping of the taps is read off the shapes.  One matmul per tap
-    has an inner dimension of only ``c_in`` and writes or updates the
+def _rows(padded: np.ndarray):
+    """A padded (B, C, H+2, W+2) array as flat rows of width ``wp = W + 2``, the
+    nine tap offsets into them, and the output span: output ``n = i * wp + j``
+    reads tap (di, dj) at ``n + di * wp + dj``, so two junk columns end each row."""
+    b, c, hp, wp = padded.shape
+    offsets = [di * wp + dj for di in range(3) for dj in range(3)]
+    return padded.reshape(b, c, hp * wp), offsets, (hp - 2) * wp - 2
+
+
+def _stack(xf: np.ndarray, offsets, span: int) -> np.ndarray:
+    """The nine tap windows of flat rows stacked as one (B, 9 * C, span) operand."""
+    b, c = xf.shape[:2]
+    st = np.empty((b, 9, c, span))
+    for t, off in enumerate(offsets):
+        st[:, t] = xf[:, :, off:off + span]
+    return st.reshape(b, 9 * c, span)
+
+
+def _correlate3x3(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid 3x3 correlation of a padded (B, c_in, H+2, W+2) array with a
+    (c_out, c_in, 3, 3) kernel, as shifted matmuls on flat rows (see :func:`_rows`).
+
+    The grouping of the taps is read off the shapes.  One matmul per tap has
+    an inner dimension of only ``c_in`` and writes or updates the
     ``c_out``-channel accumulator nine times, which is mostly memory traffic
-    when the input is thin.  So:
+    when either side is thin.  So:
 
     * ``c_in < c_out`` (such as the 2-channel state entering the ConvNet):
       the nine tap windows are stacked into one ``(B, 9 * c_in, span)``
-      operand, and the forward pass is a single GEMM written straight into
-      the accumulator.  The x-VJP is one GEMM plus nine scatter-adds of
-      ``c_in`` channels.  The kernel VJP rebuilds the stack, so it is never
-      kept on the tape.
+      operand and multiplied by the packed kernel in a single GEMM.
+    * ``c_in > c_out`` (such as the ConvNet's last layer): one GEMM applies
+      all nine taps' kernels to the whole input at once, and nine shifted
+      adds of ``c_out`` channels gather the taps.
     * otherwise: one matmul per tap; the first writes the accumulator and
       the others add into it through one reused temporary.
-
-    Either way the forward pass's extra traffic (the stack, or the
-    accumulator updates) scales with ``min(c_in, c_out)``.
     """
-    xv, kv = xp.values, kernel.values
-    b, c, hp, wp = xv.shape
-    o, h, w = kv.shape[0], hp - 2, wp - 2
-    span = (h - 1) * wp + w
-    offsets = [di * wp + dj for di in range(3) for dj in range(3)]
-    packed = c < o
-    xf = np.ascontiguousarray(xv).reshape(b, c, hp * wp)
-    acc = np.empty((b, o, h * wp))
-    acc_span = acc[:, :, :span]
-
-    def stacked_taps():
-        st = np.empty((b, 9, c, span))
-        for t, off in enumerate(offsets):
-            st[:, t] = xf[:, :, off:off + span]
-        return st.reshape(b, 9 * c, span)
-
-    if packed:
-        # column t * c + ci of the packed kernel is kv[:, ci, di, dj], t = 3 * di + dj
-        kp = kv.transpose(0, 2, 3, 1).reshape(o, 9 * c)
-        np.matmul(kp, stacked_taps(), out=acc_span)
+    xf, offsets, span = _rows(padded)
+    b, c, hp, wp = padded.shape
+    o = kernel.shape[0]
+    acc = np.empty((b, o, hp - 2, wp))
+    acc_span = acc.reshape(b, o, -1)[:, :, :span]
+    if c < o:
+        # column t * c + ci of the packed kernel is kernel[:, ci, di, dj], t = 3 * di + dj
+        np.matmul(kernel.transpose(0, 2, 3, 1).reshape(o, 9 * c), _stack(xf, offsets, span),
+                  out=acc_span)
+    elif c > o:
+        # channels t * o .. (t + 1) * o of the product are tap t applied everywhere
+        taps = kernel.transpose(2, 3, 0, 1).reshape(9 * o, c) @ xf
+        np.copyto(acc_span, taps[:, :o, :span])
+        for t, off in enumerate(offsets[1:], 1):
+            acc_span += taps[:, t * o:(t + 1) * o, off:off + span]
     else:
+        np.matmul(kernel[:, :, 0, 0], xf[:, :, :span], out=acc_span)
         tmp = np.empty((b, o, span))
-        for t, off in enumerate(offsets):
-            kt = kv[:, :, t // 3, t % 3]
-            if t == 0:
-                np.matmul(kt, xf[:, :, off:off + span], out=acc_span)
-            else:
-                np.matmul(kt, xf[:, :, off:off + span], out=tmp)
-                acc_span += tmp
-    out = np.ascontiguousarray(acc.reshape(b, o, h, wp)[:, :, :, :w])
-
-    def flat_rows(g):
-        gw = np.empty((b, o, h, wp))
-        gw[:, :, :, :w] = g
-        gw[:, :, :, w:] = 0.0
-        return gw.reshape(b, o, h * wp)[:, :, :span]
-
-    def vjp_x(g):
-        gf = flat_rows(g)
-        gx = np.zeros((b, c, hp * wp))
-        if packed:
-            gst = kp.T @ gf
-            for t, off in enumerate(offsets):
-                gx[:, :, off:off + span] += gst[:, t * c:(t + 1) * c]
-        else:
-            tmp = np.empty((b, c, span))
-            for t, off in enumerate(offsets):
-                np.matmul(kv[:, :, t // 3, t % 3].T, gf, out=tmp)
-                gx[:, :, off:off + span] += tmp
-        return gx.reshape(xv.shape)
-
-    def vjp_k(g):
-        gf = flat_rows(g)
-        if packed:
-            gkp = (gf @ stacked_taps().transpose(0, 2, 1)).sum(axis=0)
-            return np.ascontiguousarray(gkp.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
-        gk = np.empty_like(kv)
-        for t, off in enumerate(offsets):
-            gk[:, :, t // 3, t % 3] = (gf @ xf[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
-        return gk
-
-    edges = [(xp, vjp_x), (kernel, vjp_k)]
-    if bias is not None:
-        out += bias.values[None, :, None, None]
-        edges.append((bias, lambda g: np.einsum("bcn->c", g.reshape(b, o, h * w))))
-    return _node(out, edges)
+        for t, off in enumerate(offsets[1:], 1):
+            np.matmul(kernel[:, :, t // 3, t % 3], xf[:, :, off:off + span], out=tmp)
+            acc_span += tmp
+    return np.ascontiguousarray(acc[:, :, :, :-2])
 
 
 def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
@@ -368,20 +338,48 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
 
     ``x`` is (B, c_in, H, W) and ``kernel`` is (c_out, c_in, 3, 3).  Padding
     is one pixel of zeros or a circular wrap (see :func:`pad2d`).
+
+    With stride 1 and same padding, the x-VJP is the same-padded correlation
+    of the output gradient with the flipped, channel-transposed kernel
+    (Dumoulin & Visin, 2016), so it runs :func:`_correlate3x3` like the
+    forward pass.  The kernel VJP flattens the gradient once and stacks the
+    input's tap windows when c_in < c_out, or runs one matmul per tap.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     if bias is not None:
         bias = _wrap(bias)
-    kv = kernel.values
+    xv, kv = x.values, kernel.values
     if kv.ndim != 4 or kv.shape[2:] != (3, 3):
         raise ValueError(f"conv2d supports 3x3 kernels only, got {kv.shape}")
-    if x.values.ndim != 4:
-        raise ValueError(f"conv2d expects (B, c_in, H, W) input, got {x.values.shape}")
-    if x.values.shape[1] != kv.shape[1]:
-        raise ValueError(f"conv2d channel mismatch: input {x.values.shape[1]}, kernel {kv.shape[1]}")
-    if x.values.shape[2] < 3 or x.values.shape[3] < 3:
+    if xv.ndim != 4:
+        raise ValueError(f"conv2d expects (B, c_in, H, W) input, got {xv.shape}")
+    if xv.shape[1] != kv.shape[1]:
+        raise ValueError(f"conv2d channel mismatch: input {xv.shape[1]}, kernel {kv.shape[1]}")
+    if xv.shape[2] < 3 or xv.shape[3] < 3:
         raise ValueError("conv2d requires H, W >= 3")
-    return _conv3x3(pad2d(x, padding), kernel, bias)
+    xp = _pad(xv, padding)
+    out = _correlate3x3(xp, kv)
+    b, o, h, w = out.shape
+    c = xv.shape[1]
+    flipped = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+    def vjp_k(g):
+        xf, offsets, span = _rows(xp)
+        gw = np.zeros((b, o, h, w + 2))
+        gw[:, :, :, :w] = g
+        gf = gw.reshape(b, o, -1)[:, :, :span]
+        if c < o:
+            gkp = (gf @ _stack(xf, offsets, span).transpose(0, 2, 1)).sum(axis=0)
+        else:
+            gkp = np.stack([(gf @ xf[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+                            for off in offsets], axis=1)
+        return np.ascontiguousarray(gkp.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
+
+    edges = [(x, lambda g: _correlate3x3(_pad(g, padding), flipped)), (kernel, vjp_k)]
+    if bias is not None:
+        out += bias.values[None, :, None, None]
+        edges.append((bias, lambda g: np.einsum("bcn->c", g.reshape(b, o, h * w))))
+    return _node(out, edges)
 
 
 # ---------------------------------------------------------------------------

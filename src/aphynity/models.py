@@ -118,4 +118,7 @@ def load_checkpoint(path) -> tuple[AugmentedDynamics, dict]:
             arrays[entry["name"]] = np.frombuffer(
                 values, np.float64, count, entry["offset"]).reshape(entry["shape"])
         _stored_params(model).load_state(arrays)
-    return model, manifest.get("extra", {})
+        extra = manifest.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra is not a JSON object: {extra!r}")
+    return model, extra

@@ -69,6 +69,15 @@ def gradcheck(build, tensors, h=1e-6, floor=None):
     )
 
 
+def assert_adjoint(apply, apply_adjoint, x, y, rtol=1e-12):
+    """Dot-product test of a linear map: ``<apply(x), y> == <x, apply_adjoint(y)>``.
+
+    A VJP of a linear map is exact only if it passes this for every ``x`` and
+    ``y``; random operands make a wrong adjoint fail with probability one.
+    """
+    np.testing.assert_allclose(np.sum(apply(x) * y), np.sum(x * apply_adjoint(y)), rtol=rtol)
+
+
 def make_tensor(rng, shape, scale=1.0, requires_grad=True):
     return Tensor(scale * rng.standard_normal(shape), requires_grad=requires_grad)
 

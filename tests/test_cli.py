@@ -229,7 +229,10 @@ def test_train_seed_list_without_seed_is_usage_error(tmp_path, capsys):
     lambda meta: meta.update(state_kind="field"),
     lambda meta: meta.update(state_shape=[3]),
     lambda meta: meta.update(n_traj=-1),
-], ids=["no_crc", "kind_vs_shape", "shape_vs_payload", "negative_n_traj"])
+    lambda meta: meta.update(true_params="x"),
+    lambda meta: meta.update(grid="x"),
+], ids=["no_crc", "kind_vs_shape", "shape_vs_payload", "negative_n_traj",
+        "true_params_not_object", "grid_not_object"])
 def test_dataset_meta_disagreeing_with_payload_exits_4(tmp_path, capsys, corrupt):
     cfg = tiny_pendulum_config(tmp_path)
     main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
@@ -243,18 +246,23 @@ def test_dataset_meta_disagreeing_with_payload_exits_4(tmp_path, capsys, corrupt
     assert "meta.json does not describe data.bin" in capsys.readouterr().err
 
 
-def drop_array(arrays, name):
-    arrays[:] = [a for a in arrays if a["name"] != name]
+def drop_array(manifest, name):
+    manifest["arrays"] = [a for a in manifest["arrays"] if a["name"] != name]
 
 
-def reshape_array(arrays, name):
-    next(a for a in arrays if a["name"] == name)["shape"] = [2]
+def reshape_array(manifest, name):
+    next(a for a in manifest["arrays"] if a["name"] == name)["shape"] = [2]
+
+
+def replace_with_list(manifest, name):
+    manifest[name] = [1]
 
 
 @pytest.mark.parametrize("corrupt,name", [
     (drop_array, "physics.alpha"),
     (reshape_array, "physics.omega0_sq"),
-], ids=["missing", "wrong_shape"])
+    (replace_with_list, "extra"),
+], ids=["missing", "wrong_shape", "extra_not_object"])
 def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys, corrupt, name):
     cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
                                                 "optimizer": "adam", "patience": None})
@@ -263,7 +271,7 @@ def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys, corrupt, na
           "--out", str(tmp_path / "run")])
     manifest_path = tmp_path / "run" / "checkpoint" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    corrupt(manifest["arrays"], name)
+    corrupt(manifest, name)
     manifest_path.write_text(json.dumps(manifest))
     code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
                  "--data", str(tmp_path / "data" / "test"),

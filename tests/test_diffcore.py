@@ -6,7 +6,7 @@ from aphynity.diffcore import ParamSet, Tensor, backward
 from aphynity.diffcore.ops import pad_boundary
 from aphynity.diffcore.tensor import _toposort
 
-from helpers import conv2d_direct, gradcheck, make_tensor
+from helpers import assert_adjoint, conv2d_direct, gradcheck, make_tensor
 
 GRADCHECK_TOL = 1e-4
 
@@ -108,7 +108,11 @@ def test_primitive_gradcheck(name):
     assert gradcheck(build, leaves) < GRADCHECK_TOL
 
 
-# c_in < c_out runs the stacked-tap GEMM, the others the per-tap loop
+# The forward correlation of (2, 4) stacks the input taps into one GEMM, that of
+# (4, 4) runs one matmul per tap, and that of (4, 2) runs one GEMM over all nine
+# taps' kernels and nine shifted adds.  The x-VJP correlates with the
+# channel-transposed kernel, so there (2, 4) and (4, 2) swap groupings.  The
+# kernel VJP stacks the taps for (2, 4) and runs one matmul per tap otherwise.
 CONV_CHANNELS = [(2, 4), (4, 4), (4, 2)]
 
 
@@ -131,9 +135,32 @@ def test_laplacian_is_self_adjoint(bc):
     # the VJP applies the forward stencil to g, which is exact only if <Lx, y> = <x, Ly>
     rng = np.random.default_rng(19)
     x, y = rng.standard_normal((2, 2, 2, 4, 5))
-    lx = dc.laplacian(Tensor(x), bc, 0.7).values
-    ly = dc.laplacian(Tensor(y), bc, 0.7).values
-    np.testing.assert_allclose(np.sum(lx * y), np.sum(x * ly), rtol=1e-12)
+
+    def lap(v):
+        return dc.laplacian(Tensor(v), bc, 0.7).values
+
+    assert_adjoint(lap, lap, x, y)
+
+
+@pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
+@pytest.mark.parametrize("padding", ["zero", "circular"])
+def test_conv2d_vjps_are_exact_adjoints(padding, c_in, c_out):
+    # conv2d is linear in x and in k separately, so each VJP must be the exact
+    # adjoint; a 3-row grid makes each output row read every input row
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2, c_in, 3, 5))
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    y = rng.standard_normal((2, c_out, 3, 5))
+
+    def vjps(y):
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        backward(dc.sum_all(dc.mul(dc.conv2d(xt, kt, padding=padding), Tensor(y))))
+        return xt.grad, kt.grad
+
+    assert_adjoint(lambda v: dc.conv2d(Tensor(v), Tensor(k), padding=padding).values,
+                   lambda w: vjps(w)[0], x, y)
+    assert_adjoint(lambda v: dc.conv2d(Tensor(x), Tensor(v), padding=padding).values,
+                   lambda w: vjps(w)[1], k, y)
 
 
 @pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
