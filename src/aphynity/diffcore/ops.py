@@ -73,10 +73,10 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_pair(a.values, b.values, "mul")
     av, bv = a.values, b.values
-    out = av * bv
-    return _node(out, [
-        (a, lambda g: _reduce_to(g * bv, av.shape)),
-        (b, lambda g: _reduce_to(g * av, bv.shape)),
+    sa, sb = av.shape, bv.shape
+    return _node(av * bv, [
+        (a, lambda g: _reduce_to(g * bv, sa)),
+        (b, lambda g: _reduce_to(g * av, sb)),
     ])
 
 
@@ -107,13 +107,16 @@ def affine(x, w, b=None) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    """``max(x, 0)`` with NaN mapped to 0 and every zero output +0.0."""
+    """``max(x, 0)`` with NaN mapped to 0 and every zero output +0.0.
+
+    The VJP masks with ``out > 0``, which equals ``x > 0`` (NaN included), so
+    it keeps the output the next op reads anyway instead of the input.
+    """
     x = _wrap(x)
-    xv = x.values
-    out = np.fmax(xv, 0.0)
+    out = np.fmax(x.values, 0.0)
     # fmax may keep -0.0 for some array lengths; adding +0.0 turns it into +0.0
     out += 0.0
-    return _node(out, [(x, lambda g: g * (xv > 0))])
+    return _node(out, [(x, lambda g: g * (out > 0))])
 
 
 def sin(x) -> Tensor:
@@ -342,8 +345,9 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
     With stride 1 and same padding, the x-VJP is the same-padded correlation
     of the output gradient with the flipped, channel-transposed kernel
     (Dumoulin & Visin, 2016), so it runs :func:`_correlate3x3` like the
-    forward pass.  The kernel VJP flattens the gradient once and stacks the
-    input's tap windows when c_in < c_out, or runs one matmul per tap.
+    forward pass.  The kernel VJP pads the unpadded input again, so the graph
+    keeps ``x`` and not its padded copy; it flattens the gradient once and
+    stacks the input's tap windows when c_in < c_out, or runs one matmul per tap.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     if bias is not None:
@@ -357,14 +361,13 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
         raise ValueError(f"conv2d channel mismatch: input {xv.shape[1]}, kernel {kv.shape[1]}")
     if xv.shape[2] < 3 or xv.shape[3] < 3:
         raise ValueError("conv2d requires H, W >= 3")
-    xp = _pad(xv, padding)
-    out = _correlate3x3(xp, kv)
+    out = _correlate3x3(_pad(xv, padding), kv)
     b, o, h, w = out.shape
     c = xv.shape[1]
     flipped = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
     def vjp_k(g):
-        xf, offsets, span = _rows(xp)
+        xf, offsets, span = _rows(_pad(xv, padding))
         gw = np.zeros((b, o, h, w + 2))
         gw[:, :, :, :w] = g
         gf = gw.reshape(b, o, -1)[:, :, :span]
@@ -420,7 +423,8 @@ def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:
     xv = x.values
     if xv.ndim != 4:
         raise ValueError("batchnorm2d expects a (B, C, H, W) tensor")
-    b, c = xv.shape[:2]
+    shape = xv.shape
+    b, c = shape[:2]
     if scale.values.shape != (c,) or shift.values.shape != (c,):
         raise ValueError("batchnorm2d scale/shift must have shape (C,)")
     xr = xv.reshape(b, c, -1)
@@ -442,9 +446,9 @@ def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:
         np.subtract(gr, gx, out=gx)
         gx -= mean_g[:, None]
         gx *= (sc * inv_std)[:, None]
-        return gx.reshape(xv.shape)
+        return gx.reshape(shape)
 
-    return _node(out.reshape(xv.shape), [
+    return _node(out.reshape(shape), [
         (x, vjp_x),
         (scale, lambda g: np.einsum("bcn,bcn->c", g.reshape(b, c, -1), xhat)),
         (shift, lambda g: np.einsum("bcn->c", g.reshape(b, c, -1))),

@@ -1,9 +1,24 @@
 """Tape-based reverse-mode automatic differentiation on float64 numpy arrays.
 
-Every operation builds a node in a dynamic DAG; ``backward`` walks the DAG
+Every operation records a node in a dynamic DAG; ``backward`` walks the DAG
 in reverse topological order and accumulates vector-Jacobian products into
 the leaf gradients.  The op set is deliberately small: exactly what the
 dynamics models, the unrolled integrator and the training losses need.
+
+The graph keeps only what ``backward`` reads:
+
+* An interior tensor points to a graph record that holds its parents'
+  records and one VJP per parent, and no array.  A leaf that requires grad
+  is its own record; a constant is in no graph.  An op output's ``values``
+  therefore live only as long as the caller's tensor does, or as long as a
+  VJP that captured them.
+* A VJP captures only the arrays it reads (``relu`` its own output, not
+  its input; ``batchnorm2d`` the input's shape, not the input), and never
+  an intermediate it can rebuild from what it already keeps.
+* ``backward`` consumes the graph: it drops each record's parents and VJPs
+  as soon as they have run, so nothing of the graph is left when it
+  returns, even if the caller still holds the root.  A second ``backward``
+  through a consumed record raises ``RuntimeError``; build the graph again.
 
 A VJP must not write into the gradient ``g`` it is given, nor into its own
 output after returning it: ``backward`` passes one array on to several
@@ -38,17 +53,28 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+class _Record:
+    """An interior node of the graph: its parents' graph nodes and one VJP per
+    parent.  ``backward`` sets both to ``None`` once the VJPs have run."""
+
+    __slots__ = ("parents", "vjps")
+
+    def __init__(self, parents, vjps):
+        self.parents = parents
+        self.vjps = vjps
+
+
 class Tensor:
     """A float64 array together with an optional gradient buffer.
 
     Leaf tensors are created directly and reject non-finite values.
     Interior tensors are created by the ops in :mod:`aphynity.diffcore.ops`
-    and carry references to their parents plus one vector-Jacobian-product
-    callback per differentiable parent.  Values are immutable by convention:
-    nothing in this package writes to ``values`` after construction.
+    and point to a graph record of their parents and VJPs.  Values are
+    immutable by convention: nothing in this package writes to ``values``
+    after construction.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("values", "grad", "requires_grad", "_record")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -57,17 +83,17 @@ class Tensor:
         self.values = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjps = ()
+        self._record = None
 
     @classmethod
     def _interior(cls, values, parents, vjps) -> "Tensor":
-        out = cls.__new__(cls)
-        out.values = values
-        out.grad = None
+        """An op output; with no parents it is a leaf that requires grad."""
+        out = cls._const(values)
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjps = tuple(vjps)
+        if parents:
+            # a leaf parent is its own graph node; an interior one is its record
+            out._record = _Record(tuple(p if p._record is None else p._record for p in parents),
+                                  tuple(vjps))
         return out
 
     @classmethod
@@ -76,8 +102,7 @@ class Tensor:
         out.values = values
         out.grad = None
         out.requires_grad = False
-        out._parents = ()
-        out._vjps = ()
+        out._record = None
         return out
 
     @property
@@ -96,7 +121,7 @@ class Tensor:
         return float(self.values)
 
     def is_leaf(self) -> bool:
-        return not self._parents
+        return self._record is None
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
@@ -143,10 +168,11 @@ class Tensor:
         return f"Tensor({tag}, shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(start) -> list:
+    """Graph nodes reachable from ``start`` (a record or a leaf), parents first."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(start, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -156,9 +182,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        if type(node) is _Record:
+            if node.parents is None:
+                raise RuntimeError("backward reached a graph that an earlier backward "
+                                   "consumed; build the graph again")
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    stack.append((parent, False))
     return order
 
 
@@ -167,28 +197,31 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
 
     The root must be scalar.  Interior gradients live only transiently; leaf
     gradients are accumulated (callers reset with ``zero_grad`` between steps).
+    The graph is consumed as the VJPs run, so a root supports one call.
     """
     if root.values.shape != ():
         raise ValueError("backward requires a scalar root")
     if not root.requires_grad:
         return
-    order = _toposort(root)
-    inflight: dict[int, np.ndarray] = {id(root): np.asarray(float(seed))}
+    start = root if root._record is None else root._record
+    order = _toposort(start)
+    inflight: dict[int, np.ndarray] = {id(start): np.asarray(float(seed))}
     for node in reversed(order):
         g = inflight.pop(id(node), None)
-        if g is None:
-            continue
-        if node._parents:
-            for parent, vjp in zip(node._parents, node._vjps):
+        if type(node) is _Record:
+            parents, vjps = node.parents, node.vjps
+            node.parents = node.vjps = None
+            if g is None:
+                continue
+            for parent, vjp in zip(parents, vjps):
                 contrib = vjp(g)
                 key = id(parent)
                 if key in inflight:
                     inflight[key] = inflight[key] + contrib
                 else:
                     inflight[key] = contrib
-        elif node.requires_grad:
+        elif g is not None:
             if node.grad is None:
                 node.grad = np.array(g, dtype=np.float64, copy=True)
             else:
                 node.grad += g
-

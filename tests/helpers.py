@@ -5,6 +5,9 @@ gradcheck: it only ever calls the forward path, so it cannot inherit a bug
 from the backward implementation it is checking.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from aphynity.diffcore import Tensor, backward
@@ -101,3 +104,37 @@ def conv2d_direct(x, k, padding):
                         continue
                     out[:, :, i, j] += x[:, :, si, sj] @ k[:, :, di, dj].T
     return out
+
+
+def retained_bytes(fn):
+    """Bytes of numpy array buffers that ``fn()`` leaves allocated while its
+    result is still held.
+
+    Returns ``(bytes, result)``.  The cyclic garbage collector is off during
+    the call, so only reference counting frees memory: an array kept alive
+    by a reference cycle counts as retained.  numpy reports its buffers to
+    ``tracemalloc`` in a domain of their own; counting only that domain
+    leaves out Python objects and the interpreter's free lists.
+    """
+    numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def buffer_bytes():
+        traces = tracemalloc.take_snapshot().filter_traces(numpy_buffers).traces
+        return sum(trace.size for trace in traces)
+
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = buffer_bytes()
+        result = fn()
+        retained = buffer_bytes() - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if gc_was_enabled:
+            gc.enable()
+    return retained, result
