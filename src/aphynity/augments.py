@@ -75,7 +75,12 @@ class MlpAugmentation:
 
 
 class ConvNetAugmentation:
-    """conv-bn-relu x2 then conv, all 3x3 and shape preserving."""
+    """conv-bn-relu x2 then conv, all 3x3 and shape preserving.
+
+    Batch norm removes any per-channel constant, so a bias on the two
+    convolutions that feed it would get an exactly zero gradient; only the
+    last convolution has one.
+    """
 
     def __init__(self, spec: ConvNetSpec, seed: int = 0):
         if spec.padding not in ("zero", "circular"):
@@ -85,11 +90,10 @@ class ConvNetAugmentation:
         rng = np.random.default_rng(seed)
         chans = [spec.in_channels, spec.hidden_channels, spec.hidden_channels,
                  spec.out_channels]
-        self._convs = []
-        for i, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
-            k = self.params.add(f"k{i}", _uniform_fan_in(rng, (c_out, c_in, 3, 3), c_in * 9))
-            b = self.params.add(f"c{i}", np.zeros(c_out))
-            self._convs.append((k, b))
+        self._kernels = [
+            self.params.add(f"k{i}", _uniform_fan_in(rng, (c_out, c_in, 3, 3), c_in * 9))
+            for i, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:]))]
+        self._bias = self.params.add("c2", np.zeros(spec.out_channels))
         self._norms = []
         for i in (0, 1):
             g = self.params.add(f"g{i}", np.ones(spec.hidden_channels))
@@ -101,11 +105,10 @@ class ConvNetAugmentation:
             raise ValueError(
                 f"expected (B, {self.spec.in_channels}, H, W) state batch, got {x.shape}")
         h = x
-        for (k, b), (g, s) in zip(self._convs[:2], self._norms):
-            h = dc.conv2d(h, k, b, padding=self.spec.padding)
+        for k, (g, s) in zip(self._kernels[:2], self._norms):
+            h = dc.conv2d(h, k, padding=self.spec.padding)
             h = dc.relu(dc.batchnorm2d(h, g, s))
-        k, b = self._convs[2]
-        return dc.conv2d(h, k, b, padding=self.spec.padding)
+        return dc.conv2d(h, self._kernels[2], self._bias, padding=self.spec.padding)
 
 
 def make_augmentation(spec_dict: dict, seed: int = 0):

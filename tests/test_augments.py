@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import aphynity.diffcore as dc
+from aphynity.artifacts import load_artifact, save_artifact
 from aphynity.augments import (
     ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec, make_augmentation,
 )
 from aphynity.diffcore import Tensor
 from aphynity.models import (
-    AugmentedDynamics, CheckpointError, load_checkpoint, save_checkpoint,
+    CHECKPOINT_VERSION, AugmentedDynamics, CheckpointError, load_checkpoint, save_checkpoint,
 )
 from aphynity.physics import make_family
 
@@ -171,6 +172,44 @@ def test_checkpoint_roundtrip(tmp_path):
     x = Tensor(rng.random((2, 2, 6, 6)))
     with dc.no_grad():
         np.testing.assert_array_equal(model.rhs(x).values, restored.rhs(x).values)
+
+
+def test_checkpoint_with_biases_before_batch_norm_still_loads(tmp_path):
+    # ConvNet checkpoints once stored biases c0/c1 on the two convolutions
+    # that feed batch norm; such a checkpoint loads and those arrays are ignored
+    rng = np.random.default_rng(24)
+    fam = make_family("reacdiff", "ab", dx=0.25, init={"a": 2e-3, "b": 4e-3})
+    model = AugmentedDynamics(fam, ConvNetAugmentation(ConvNetSpec(padding="circular"), seed=25))
+    assert "augment.c0" not in model.params and "augment.c1" not in model.params
+    save_checkpoint(model, tmp_path / "new")
+    manifest, payload = load_artifact(tmp_path / "new", "manifest.json", "params.bin",
+                                      CHECKPOINT_VERSION, CheckpointError)
+    arrays = {e["name"]: payload[e["offset"] // 8:][:np.prod(e["shape"], dtype=int)]
+              .reshape(e["shape"]) for e in manifest["arrays"]}
+    hidden = model.augmentation.spec.hidden_channels
+    old = {}
+    for name, values in arrays.items():
+        if name == "augment.k1":
+            old["augment.c0"] = rng.standard_normal(hidden)
+        if name == "augment.k2":
+            old["augment.c1"] = rng.standard_normal(hidden)
+        old[name] = values
+    entries, offset = [], 0
+    for name, values in old.items():
+        entries.append({"name": name, "shape": list(values.shape), "offset": offset})
+        offset += values.nbytes
+    del manifest["payload_bytes"], manifest["payload_crc32"]
+    save_artifact(tmp_path / "old", "manifest.json", "params.bin",
+                  {**manifest, "arrays": entries},
+                  np.concatenate([v.ravel() for v in old.values()]))
+
+    restored, _ = load_checkpoint(tmp_path / "old")
+    assert [n for n, _ in restored.params.items()] == [n for n, _ in model.params.items()]
+    for name, t in restored.params.items():
+        assert t.values.tobytes() == model.params[name].values.tobytes(), name
+    x = Tensor(rng.random((2, 2, 6, 6)))
+    with dc.no_grad():
+        assert restored.rhs(x).values.tobytes() == model.rhs(x).values.tobytes()
 
 
 def test_checkpoint_roundtrip_frozen_physics(tmp_path):
