@@ -12,9 +12,9 @@ The graph keeps only what ``backward`` reads:
   is its own record; a constant is in no graph.  An op output's ``values``
   therefore live only as long as the caller's tensor does, or as long as a
   VJP that captured them.
-* A VJP captures only the arrays it reads (``relu`` its own output, not
-  its input; ``batchnorm2d`` the input's shape, not the input), and never
-  an intermediate it can rebuild from what it already keeps.
+* A VJP captures only the arrays it reads: ``relu`` its own output, not
+  its input; ``batchnorm2d`` the input's shape, not the input; ``conv2d``
+  the input, which its kernel VJP pads again, not the padded copy.
 * ``backward`` consumes the graph: it drops each record's parents and VJPs
   as soon as they have run, so nothing of the graph is left when it
   returns, even if the caller still holds the root.  A second ``backward``
@@ -91,9 +91,7 @@ class Tensor:
         out = cls._const(values)
         out.requires_grad = True
         if parents:
-            # a leaf parent is its own graph node; an interior one is its record
-            out._record = _Record(tuple(p if p._record is None else p._record for p in parents),
-                                  tuple(vjps))
+            out._record = _Record(tuple(p._graph_node() for p in parents), tuple(vjps))
         return out
 
     @classmethod
@@ -122,6 +120,10 @@ class Tensor:
 
     def is_leaf(self) -> bool:
         return self._record is None
+
+    def _graph_node(self):
+        """A leaf is its own graph node; an interior tensor's is its record."""
+        return self if self._record is None else self._record
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
@@ -203,16 +205,15 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
         raise ValueError("backward requires a scalar root")
     if not root.requires_grad:
         return
-    start = root if root._record is None else root._record
+    start = root._graph_node()
     order = _toposort(start)
     inflight: dict[int, np.ndarray] = {id(start): np.asarray(float(seed))}
     for node in reversed(order):
-        g = inflight.pop(id(node), None)
+        # every node is reachable from the root, so its gradient has arrived
+        g = inflight.pop(id(node))
         if type(node) is _Record:
             parents, vjps = node.parents, node.vjps
             node.parents = node.vjps = None
-            if g is None:
-                continue
             for parent, vjp in zip(parents, vjps):
                 contrib = vjp(g)
                 key = id(parent)
@@ -220,8 +221,7 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
                     inflight[key] = inflight[key] + contrib
                 else:
                     inflight[key] = contrib
-        elif g is not None:
-            if node.grad is None:
-                node.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
-                node.grad += g
+        elif node.grad is None:
+            node.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            node.grad += g
