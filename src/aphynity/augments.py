@@ -77,9 +77,11 @@ class MlpAugmentation:
 class ConvNetAugmentation:
     """conv-bn-relu x2 then conv, all 3x3 and shape preserving.
 
-    Batch norm removes any per-channel constant, so a bias on the two
-    convolutions that feed it would get an exactly zero gradient; only the
-    last convolution has one.
+    Each batch norm and its ReLU run as the normalized input of the next
+    convolution (``conv2d``'s ``norm``), so the graph keeps one normalized
+    activation per block.  Batch norm removes any per-channel constant, so a
+    bias on the two convolutions that feed it would get an exactly zero
+    gradient; only the last convolution has one.
     """
 
     def __init__(self, spec: ConvNetSpec, seed: int = 0):
@@ -104,11 +106,12 @@ class ConvNetAugmentation:
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels:
             raise ValueError(
                 f"expected (B, {self.spec.in_channels}, H, W) state batch, got {x.shape}")
-        h = x
-        for k, (g, s) in zip(self._kernels[:2], self._norms):
-            h = dc.conv2d(h, k, padding=self.spec.padding)
-            h = dc.relu(dc.batchnorm2d(h, g, s))
-        return dc.conv2d(h, self._kernels[2], self._bias, padding=self.spec.padding)
+        pad = self.spec.padding
+        k0, k1, k2 = self._kernels
+        norm0, norm1 = self._norms
+        h = dc.conv2d(x, k0, padding=pad)
+        h = dc.conv2d(h, k1, padding=pad, norm=norm0)
+        return dc.conv2d(h, k2, self._bias, padding=pad, norm=norm1)
 
 
 def make_augmentation(spec_dict: dict, seed: int = 0):

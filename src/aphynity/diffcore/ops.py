@@ -8,6 +8,8 @@ structural glue used to route state channels in and out of the models.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor, grad_enabled
@@ -113,10 +115,16 @@ def relu(x) -> Tensor:
     it keeps the output the next op reads anyway instead of the input.
     """
     x = _wrap(x)
-    out = np.fmax(x.values, 0.0)
+    out = _relu(x.values)
+    return _node(out, [(x, lambda g: g * (out > 0))])
+
+
+def _relu(a: np.ndarray, out=None) -> np.ndarray:
+    """``max(a, 0)`` with NaN mapped to 0 and every zero +0.0; ``out=a`` is in place."""
+    out = np.fmax(a, 0.0, out=out)
     # fmax may keep -0.0 for some array lengths; adding +0.0 turns it into +0.0
     out += 0.0
-    return _node(out, [(x, lambda g: g * (out > 0))])
+    return out
 
 
 def sin(x) -> Tensor:
@@ -214,9 +222,9 @@ def reshape(x, shape) -> Tensor:
 _PAD_MODES = ("zero", "circular")
 
 
-def pad_boundary(field: np.ndarray, bc: str, width: int = 1) -> np.ndarray:
+def pad_boundary(field: np.ndarray, bc: str, width: int = 1, out=None) -> np.ndarray:
     """Ghost cells on the last two axes of an array: a wrap for "periodic",
-    edge replication for "neumann_zero".
+    edge replication for "neumann_zero"; written into ``out`` if given.
 
     The result equals ``np.pad`` with mode "wrap" or "edge" bit for bit; it is
     built from slice copies, which avoids ``np.pad``'s fixed per-call cost.
@@ -228,7 +236,8 @@ def pad_boundary(field: np.ndarray, bc: str, width: int = 1) -> np.ndarray:
     p = width
     if min(h, w) < p:
         raise ValueError(f"pad_boundary: grid {h}x{w} is narrower than the pad width {p}")
-    out = np.empty(field.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=field.dtype)
+    if out is None:
+        out = np.empty(field.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=field.dtype)
     out[..., p:-p, p:-p] = field
     if bc == "periodic":
         out[..., p:-p, :p] = field[..., :, w - p:]
@@ -254,14 +263,16 @@ def _pad_fold(g: np.ndarray, mode: str) -> np.ndarray:
     return np.ascontiguousarray(g[:, :, 1:-1, 1:-1])
 
 
-def _pad(xv: np.ndarray, mode: str) -> np.ndarray:
-    """1-pixel padding of a (B, C, H, W) array: zeros or a circular wrap."""
+def _pad(xv: np.ndarray, mode: str, out=None) -> np.ndarray:
+    """1-pixel padding of a (B, C, H, W) array, zeros or a circular wrap, in
+    ``out`` if given."""
     if mode not in _PAD_MODES:
         raise ValueError(f"unknown padding mode {mode!r}")
     if mode == "circular":
-        return pad_boundary(xv, "periodic")
+        return pad_boundary(xv, "periodic", out=out)
     b, c, h, w = xv.shape
-    out = np.empty((b, c, h + 2, w + 2))
+    if out is None:
+        out = np.empty((b, c, h + 2, w + 2))
     out[:, :, 1:-1, 1:-1] = xv
     out[:, :, ::h + 1, :] = 0.0      # first and last row
     out[:, :, 1:-1, ::w + 1] = 0.0   # first and last column
@@ -285,18 +296,24 @@ def _rows(padded: np.ndarray):
     return padded.reshape(b, c, hp * wp), offsets, (hp - 2) * wp - 2
 
 
-def _stack(xf: np.ndarray, offsets, span: int) -> np.ndarray:
-    """The nine tap windows of flat rows stacked as one (B, 9 * C, span) operand."""
+def _stack(xf: np.ndarray, offsets, span: int, out=None) -> np.ndarray:
+    """The nine tap windows of flat rows stacked as one (B, 9 * C, span) operand,
+    in ``out`` (shape (B, 9, C, span)) if given."""
     b, c = xf.shape[:2]
-    st = np.empty((b, 9, c, span))
+    st = np.empty((b, 9, c, span)) if out is None else out
     for t, off in enumerate(offsets):
         st[:, t] = xf[:, :, off:off + span]
     return st.reshape(b, 9 * c, span)
 
 
-def _correlate3x3(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid 3x3 correlation of a padded (B, c_in, H+2, W+2) array with a
-    (c_out, c_in, 3, 3) kernel, as shifted matmuls on flat rows (see :func:`_rows`).
+# Bytes of scratch that _correlate3x3 allocates for one group of samples.
+_SCRATCH_BYTES = 1 << 20
+
+
+def _correlate3x3(x: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
+    """Same-padded 3x3 correlation of a (B, c_in, H, W) array with a
+    (c_out, c_in, 3, 3) kernel, as shifted matmuls on the flat rows of the
+    padded input (see :func:`_rows`); ``mode`` is the padding, as in :func:`_pad`.
 
     The grouping of the taps is read off the shapes.  One matmul per tap has
     an inner dimension of only ``c_in`` and writes or updates the
@@ -311,33 +328,57 @@ def _correlate3x3(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
       adds of ``c_out`` channels gather the taps.
     * otherwise: one matmul per tap; the first writes the accumulator and
       the others add into it through one reused temporary.
+
+    The batch runs in groups of samples, padded one group at a time, whose
+    scratch (padded input, stacked taps, tap products or the per-tap
+    temporary, and the row accumulator) stays within ``_SCRATCH_BYTES``.  So
+    a whole-split pass allocates nothing batch-sized but its output.
+    ``np.matmul`` runs one GEMM per batch element, so a sample's result does
+    not depend on its group.
     """
-    xf, offsets, span = _rows(padded)
-    b, c, hp, wp = padded.shape
+    b, c, h, w = x.shape
     o = kernel.shape[0]
-    acc = np.empty((b, o, hp - 2, wp))
-    acc_span = acc.reshape(b, o, -1)[:, :, :span]
+    hp, wp = h + 2, w + 2
+    span = h * wp - 2
     if c < o:
         # column t * c + ci of the packed kernel is kernel[:, ci, di, dj], t = 3 * di + dj
-        np.matmul(kernel.transpose(0, 2, 3, 1).reshape(o, 9 * c), _stack(xf, offsets, span),
-                  out=acc_span)
+        packed = kernel.transpose(0, 2, 3, 1).reshape(o, 9 * c)
+        sample_scratch = (9, c, span)
     elif c > o:
         # channels t * o .. (t + 1) * o of the product are tap t applied everywhere
-        taps = kernel.transpose(2, 3, 0, 1).reshape(9 * o, c) @ xf
-        np.copyto(acc_span, taps[:, :o, :span])
-        for t, off in enumerate(offsets[1:], 1):
-            acc_span += taps[:, t * o:(t + 1) * o, off:off + span]
+        packed = kernel.transpose(2, 3, 0, 1).reshape(9 * o, c)
+        sample_scratch = (9 * o, hp * wp)
     else:
-        np.matmul(kernel[:, :, 0, 0], xf[:, :, :span], out=acc_span)
-        tmp = np.empty((b, o, span))
-        for t, off in enumerate(offsets[1:], 1):
-            np.matmul(kernel[:, :, t // 3, t % 3], xf[:, :, off:off + span], out=tmp)
-            acc_span += tmp
-    return np.ascontiguousarray(acc[:, :, :, :-2])
+        sample_scratch = (o, span)
+    per_sample = 8 * (c * hp * wp + math.prod(sample_scratch) + o * h * wp)
+    group = max(1, min(b, _SCRATCH_BYTES // per_sample))
+    padded = np.empty((group, c, hp, wp))
+    scratch = np.empty((group, *sample_scratch))
+    acc = np.empty((group, o, h, wp))
+    out = np.empty((b, o, h, w))
+    for lo in range(0, b, group):
+        part = x[lo:lo + group]
+        n = part.shape[0]
+        xf, offsets, _ = _rows(_pad(part, mode, out=padded[:n]))
+        acc_span = acc[:n].reshape(n, o, -1)[:, :, :span]
+        if c < o:
+            np.matmul(packed, _stack(xf, offsets, span, out=scratch[:n]), out=acc_span)
+        elif c > o:
+            taps = np.matmul(packed, xf, out=scratch[:n])
+            np.copyto(acc_span, taps[:, :o, :span])
+            for t, off in enumerate(offsets[1:], 1):
+                acc_span += taps[:, t * o:(t + 1) * o, off:off + span]
+        else:
+            np.matmul(kernel[:, :, 0, 0], xf[:, :, :span], out=acc_span)
+            for t, off in enumerate(offsets[1:], 1):
+                np.matmul(kernel[:, :, t // 3, t % 3], xf[:, :, off:off + span], out=scratch[:n])
+                acc_span += scratch[:n]
+        out[lo:lo + n] = acc[:n, :, :, :-2]
+    return out
 
 
-def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
-    """Shape-preserving 3x3 convolution.
+def conv2d(x, kernel, bias=None, padding: str = "zero", norm=None) -> Tensor:
+    """Shape-preserving 3x3 convolution, optionally of ``relu(batchnorm2d(x))``.
 
     ``x`` is (B, c_in, H, W) and ``kernel`` is (c_out, c_in, 3, 3).  Padding
     is one pixel of zeros or a circular wrap (see :func:`pad2d`).
@@ -345,9 +386,17 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
     With stride 1 and same padding, the x-VJP is the same-padded correlation
     of the output gradient with the flipped, channel-transposed kernel
     (Dumoulin & Visin, 2016), so it runs :func:`_correlate3x3` like the
-    forward pass.  The kernel VJP pads the unpadded input again, so the graph
-    keeps ``x`` and not its padded copy; it flattens the gradient once and
-    stacks the input's tap windows when c_in < c_out, or runs one matmul per tap.
+    forward pass.  The kernel VJP pads the unpadded input again; it flattens
+    the gradient once and stacks the input's tap windows when c_in < c_out,
+    or runs one matmul per tap.
+
+    With ``norm=(scale, shift)`` the convolution's input is
+    ``relu(batchnorm2d(x, scale, shift))``, computed inside this one node and
+    equal to the two ops bit for bit.  The node then keeps x̂ and the
+    per-channel vectors instead of the activation, and its VJPs recompute
+    the activation from x̂.  Its VJPs share one pass per gradient: the
+    recomputed activation (the ReLU's mask and the kernel VJP's input), the
+    convolution's x-gradient and the batch-norm VJP.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     if bias is not None:
@@ -361,13 +410,43 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
         raise ValueError(f"conv2d channel mismatch: input {xv.shape[1]}, kernel {kv.shape[1]}")
     if xv.shape[2] < 3 or xv.shape[3] < 3:
         raise ValueError("conv2d requires H, W >= 3")
-    out = _correlate3x3(_pad(xv, padding), kv)
-    b, o, h, w = out.shape
-    c = xv.shape[1]
+    shape = b, c, h, w = xv.shape
+    o = kv.shape[0]
     flipped = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
+    def grad_input(g):
+        return _correlate3x3(g, flipped, padding)
+
+    if norm is None:
+        out = _correlate3x3(xv, kv, padding)
+        edges = [(x, grad_input)]
+
+        def conv_input(g):
+            return xv
+    else:
+        scale, shift = _check_norm(norm, c, "conv2d")
+        sc, sh = scale.values, shift.values
+        xhat, inv_std = _bn_normalize(xv)
+        # with no graph to record, nothing reads x̂ again: the activation overwrites it
+        act = _bn_relu(xhat, sc, sh, out=None if grad_enabled() else xhat)
+        out = _correlate3x3(act.reshape(shape), kv, padding)
+
+        def through_norm(g):
+            # the recomputed activation, for the ReLU's mask and the kernel VJP
+            act = _bn_relu(xhat, sc, sh)
+            gy = grad_input(g).reshape(b, c, -1)
+            gy *= act > 0
+            return (*_bn_vjp(gy, xhat, sc, inv_std), act.reshape(shape))
+
+        grads = _per_gradient(through_norm)
+        edges = [(x, lambda g: grads(g)[0].reshape(shape)),
+                 (scale, lambda g: grads(g)[1]), (shift, lambda g: grads(g)[2])]
+
+        def conv_input(g):
+            return grads(g)[3]
+
     def vjp_k(g):
-        xf, offsets, span = _rows(_pad(xv, padding))
+        xf, offsets, span = _rows(_pad(conv_input(g), padding))
         gw = np.zeros((b, o, h, w + 2))
         gw[:, :, :, :w] = g
         gf = gw.reshape(b, o, -1)[:, :, :span]
@@ -378,7 +457,7 @@ def conv2d(x, kernel, bias=None, padding: str = "zero") -> Tensor:
                             for off in offsets], axis=1)
         return np.ascontiguousarray(gkp.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
 
-    edges = [(x, lambda g: _correlate3x3(_pad(g, padding), flipped)), (kernel, vjp_k)]
+    edges.append((kernel, vjp_k))
     if bias is not None:
         out += bias.values[None, :, None, None]
         edges.append((bias, lambda g: np.einsum("bcn->c", g.reshape(b, o, h * w))))
@@ -408,48 +487,91 @@ def laplacian(x, bc: str, dx: float = 1.0) -> Tensor:
     return _node(out, [(x, lambda g: laplacian_stencil(g, bc, dx))])
 
 
-def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:
-    """Per-channel standardization over batch and spatial axes.
+# ---------------------------------------------------------------------------
+# Batch norm: one implementation, used by ``batchnorm2d`` and by the
+# normalized input of ``conv2d``
 
-    No running statistics are kept: every pass, training or evaluation, uses
-    the statistics of the batch it is given, so a sample's output depends on
-    the other samples in its batch.
+def _check_norm(norm, channels: int, op: str):
+    scale, shift = _wrap(norm[0]), _wrap(norm[1])
+    if scale.values.shape != (channels,) or shift.values.shape != (channels,):
+        raise ValueError(f"{op} scale/shift must have shape (C,)")
+    return scale, shift
 
-    The forward pass and the VJPs reduce on the contiguous ``(B, C, H*W)``
-    view of their operands, with ``einsum`` so that sums of products build
-    no temporary array.
-    """
-    x, scale, shift = _wrap(x), _wrap(scale), _wrap(shift)
-    xv = x.values
-    if xv.ndim != 4:
-        raise ValueError("batchnorm2d expects a (B, C, H, W) tensor")
-    shape = xv.shape
-    b, c = shape[:2]
-    if scale.values.shape != (c,) or shift.values.shape != (c,):
-        raise ValueError("batchnorm2d scale/shift must have shape (C,)")
+
+def _bn_normalize(xv: np.ndarray, eps: float = 1e-5):
+    """x̂ of a (B, C, H, W) array on its contiguous (B, C, H*W) view, and the
+    per-channel 1/std.  Reductions use ``einsum``, so sums of products build
+    no temporary array."""
+    b, c = xv.shape[:2]
     xr = xv.reshape(b, c, -1)
     n = b * xr.shape[2]
     xhat = xr - (np.einsum("bcn->c", xr) / n)[:, None]
     var = np.einsum("bcn,bcn->c", xhat, xhat) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[:, None]
+    return xhat, inv_std
+
+
+def _bn_affine(xhat: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None) -> np.ndarray:
+    """``x̂ * scale + shift`` on the (B, C, H*W) view."""
+    out = np.multiply(xhat, scale[:, None], out=out)
+    out += shift[:, None]
+    return out
+
+
+def _bn_vjp(gr: np.ndarray, xhat: np.ndarray, scale: np.ndarray, inv_std: np.ndarray):
+    """The x, scale and shift gradients of ``x̂ * scale + shift`` for an output
+    gradient ``gr``, all on the (B, C, H*W) view: the standard batch-norm
+    gradient through the mean and the variance."""
+    n = gr.shape[0] * gr.shape[2]
+    g_shift = np.einsum("bcn->c", gr)
+    g_scale = np.einsum("bcn,bcn->c", gr, xhat)
+    gx = xhat * (g_scale / n)[:, None]
+    np.subtract(gr, gx, out=gx)
+    gx -= (g_shift / n)[:, None]
+    gx *= (scale * inv_std)[:, None]
+    return gx, g_scale, g_shift
+
+
+def _bn_relu(xhat: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None) -> np.ndarray:
+    """``relu(x̂ * scale + shift)`` on the (B, C, H*W) view; ``out=xhat`` overwrites x̂."""
+    y = _bn_affine(xhat, scale, shift, out=out)
+    return _relu(y, out=y)
+
+
+def _per_gradient(fn):
+    """``fn(g)``, computed once per gradient object and shared by the VJPs of
+    one node: ``backward`` calls a record's VJPs back to back with the same
+    ``g`` (see :mod:`.tensor`)."""
+    memo = [None, None]
+
+    def shared(g):
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return shared
+
+
+def batchnorm2d(x, scale, shift, eps: float = 1e-5) -> Tensor:
+    """Per-channel standardization over batch and spatial axes.
+
+    No running statistics are kept: every pass, training or evaluation, uses
+    the statistics of the batch it is given, so a sample's output depends on
+    the other samples in its batch.  ``conv2d(..., norm=(scale, shift))``
+    runs the same math, followed by a ReLU, as its input.
+    """
+    x = _wrap(x)
+    xv = x.values
+    if xv.ndim != 4:
+        raise ValueError("batchnorm2d expects a (B, C, H, W) tensor")
+    shape = xv.shape
+    scale, shift = _check_norm((scale, shift), shape[1], "batchnorm2d")
     sc = scale.values
-    out = xhat * sc[:, None]
-    out += shift.values[:, None]
-
-    def vjp_x(g):
-        # standard batch-norm gradient through mean and variance
-        gr = g.reshape(b, c, -1)
-        mean_g = np.einsum("bcn->c", gr) / n
-        mean_gx = np.einsum("bcn,bcn->c", gr, xhat) / n
-        gx = xhat * mean_gx[:, None]
-        np.subtract(gr, gx, out=gx)
-        gx -= mean_g[:, None]
-        gx *= (sc * inv_std)[:, None]
-        return gx.reshape(shape)
-
-    return _node(out.reshape(shape), [
-        (x, vjp_x),
-        (scale, lambda g: np.einsum("bcn,bcn->c", g.reshape(b, c, -1), xhat)),
-        (shift, lambda g: np.einsum("bcn->c", g.reshape(b, c, -1))),
+    xhat, inv_std = _bn_normalize(xv, eps)
+    grads = _per_gradient(lambda g: _bn_vjp(g.reshape(xhat.shape), xhat, sc, inv_std))
+    return _node(_bn_affine(xhat, sc, shift.values).reshape(shape), [
+        (x, lambda g: grads(g)[0].reshape(shape)),
+        (scale, lambda g: grads(g)[1]),
+        (shift, lambda g: grads(g)[2]),
     ])

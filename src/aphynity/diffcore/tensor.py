@@ -14,7 +14,10 @@ The graph keeps only what ``backward`` reads:
   VJP that captured them.
 * A VJP captures only the arrays it reads: ``relu`` its own output, not
   its input; ``batchnorm2d`` the input's shape, not the input; ``conv2d``
-  the input, which its kernel VJP pads again, not the padded copy.
+  the input, which its kernel VJP pads again, not the padded copy.  A
+  ``conv2d`` with a normalized input (``norm=``) keeps x̂ and the
+  per-channel vectors, not its activation ``relu(batchnorm2d(x))``, and its
+  VJPs recompute the activation from x̂.
 * ``backward`` consumes the graph: it drops each record's parents and VJPs
   as soon as they have run, so nothing of the graph is left when it
   returns, even if the caller still holds the root.  A second ``backward``
@@ -24,6 +27,12 @@ A VJP must not write into the gradient ``g`` it is given, nor into its own
 output after returning it: ``backward`` passes one array on to several
 parents without copying (``add`` returns ``g`` itself to both operands,
 ``reshape`` a view of it) and sums contributions out of place.
+
+``backward`` calls a record's VJPs back to back, in the order of its
+parents, each with the same ``g`` object, and no other VJP runs in between.
+The VJPs of one node may therefore share work done on the first call, keyed
+on the identity of ``g``: ``batchnorm2d`` and a normalized ``conv2d``
+compute their x, scale and shift gradients in one pass.
 """
 
 from __future__ import annotations
@@ -87,11 +96,10 @@ class Tensor:
 
     @classmethod
     def _interior(cls, values, parents, vjps) -> "Tensor":
-        """An op output; with no parents it is a leaf that requires grad."""
+        """An op output with at least one parent that requires grad."""
         out = cls._const(values)
         out.requires_grad = True
-        if parents:
-            out._record = _Record(tuple(p._graph_node() for p in parents), tuple(vjps))
+        out._record = _Record(tuple(p._graph_node() for p in parents), tuple(vjps))
         return out
 
     @classmethod

@@ -6,6 +6,12 @@ over the training states), then once per epoch the multiplier climbs by
 ``tau2 * L_traj`` so the trajectory constraint is enforced ever harder while
 the residual stays as small as the data allows.
 
+Each step backpropagates the two terms separately: first the |residual|^2
+term over the batch's states, then ``lambda * L_traj`` through the rollout,
+so only one of the two graphs is alive at a time.  Each parameter gets
+one |residual|^2 contribution, so its gradient equals that of the summed
+loss bit for bit.
+
 Ablation modes:
 
 * ``vanilla``             - minimize the trajectory loss only;
@@ -291,24 +297,26 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
                 idx = order[lo:lo + batch_size]
                 batch = trajectories[idx]
                 model.params.zero_grad()
+                norm_val = 0.0
+                if use_norm_term and model.augmentation is not None:
+                    # backpropagated before the rollout exists, so that the two
+                    # graphs are never alive together
+                    scale = n_states_total / (batch.shape[0] * batch.shape[1])
+                    norm_term = dc.smul(scale, augmentation_norm_sq(
+                        model.augmentation, batch.reshape(-1, *batch.shape[2:])))
+                    norm_val = float(norm_term.values)
+                    dc.backward(norm_term)
                 try:
                     cons = _constraint_loss(model, batch, train.dt, cfg.mode)
                 except BlowUpError as exc:
+                    # the next zero_grad discards the norm term's gradients
                     report.events.append({"kind": "blow_up", "epoch": epoch,
                                           "detail": str(exc)})
                     log.warning("epoch %d: rollout blew up, skipping batch (%s)",
                                 epoch, exc)
                     continue
-                if use_norm_term and model.augmentation is not None:
-                    scale = n_states_total / (batch.shape[0] * batch.shape[1])
-                    norm_term = dc.smul(scale, augmentation_norm_sq(
-                        model.augmentation, batch.reshape(-1, *batch.shape[2:])))
-                    loss = dc.add(dc.smul(lam, cons), norm_term)
-                elif use_norm_term:
-                    loss = dc.smul(lam, cons)
-                else:
-                    loss = cons
-                loss_val = float(loss.values)
+                loss = dc.smul(lam, cons) if use_norm_term else cons
+                loss_val = float(loss.values) + norm_val
                 if not np.isfinite(loss_val):
                     report.diverged = True
                     report.events.append({"kind": "divergence", "epoch": epoch,

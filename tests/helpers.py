@@ -5,6 +5,7 @@ gradcheck: it only ever calls the forward path, so it cannot inherit a bug
 from the backward implementation it is checking.
 """
 
+import contextlib
 import gc
 import tracemalloc
 
@@ -106,22 +107,20 @@ def conv2d_direct(x, k, padding):
     return out
 
 
-def retained_bytes(fn):
-    """Bytes of numpy array buffers that ``fn()`` leaves allocated while its
-    result is still held.
+def numpy_buffer_bytes():
+    """Bytes of numpy array buffers allocated now, while ``tracemalloc`` traces.
 
-    Returns ``(bytes, result)``.  The cyclic garbage collector is off during
-    the call, so only reference counting frees memory: an array kept alive
-    by a reference cycle counts as retained.  numpy reports its buffers to
-    ``tracemalloc`` in a domain of their own; counting only that domain
-    leaves out Python objects and the interpreter's free lists.
+    numpy reports its buffers to ``tracemalloc`` in a domain of their own;
+    counting only that domain leaves out Python objects and the
+    interpreter's free lists.
     """
     numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    traces = tracemalloc.take_snapshot().filter_traces(numpy_buffers).traces
+    return sum(trace.size for trace in traces)
 
-    def buffer_bytes():
-        traces = tracemalloc.take_snapshot().filter_traces(numpy_buffers).traces
-        return sum(trace.size for trace in traces)
 
+@contextlib.contextmanager
+def _traced_without_gc():
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -129,12 +128,41 @@ def retained_bytes(fn):
     if not tracing:
         tracemalloc.start()
     try:
-        before = buffer_bytes()
-        result = fn()
-        retained = buffer_bytes() - before
+        yield
     finally:
         if not tracing:
             tracemalloc.stop()
         if gc_was_enabled:
             gc.enable()
+
+
+def retained_bytes(fn):
+    """Bytes of numpy array buffers that ``fn()`` leaves allocated while its
+    result is still held.
+
+    Returns ``(bytes, result)``.  The cyclic garbage collector is off during
+    the call, so only reference counting frees memory: an array kept alive
+    by a reference cycle counts as retained.
+    """
+    with _traced_without_gc():
+        before = numpy_buffer_bytes()
+        result = fn()
+        retained = numpy_buffer_bytes() - before
     return retained, result
+
+
+def peak_bytes(fn):
+    """The most memory ``fn()`` has allocated at any one time, above what was
+    allocated when it started: the ``tracemalloc`` peak companion of
+    :func:`retained_bytes`, under the same rules.
+
+    Returns ``(bytes, result)``.  The peak counts every traced allocation,
+    numpy buffers and Python objects alike; the arrays a pass allocates
+    dwarf the rest.
+    """
+    with _traced_without_gc():
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    return peak, result

@@ -3,10 +3,11 @@ import pytest
 
 import aphynity.diffcore as dc
 from aphynity.diffcore import ParamSet, Tensor, backward
+from aphynity.diffcore import ops
 from aphynity.diffcore.ops import pad_boundary
 from aphynity.diffcore.tensor import _toposort
 
-from helpers import assert_adjoint, conv2d_direct, gradcheck, make_tensor
+from helpers import assert_adjoint, conv2d_direct, gradcheck, make_tensor, peak_bytes
 
 GRADCHECK_TOL = 1e-4
 
@@ -175,6 +176,67 @@ def test_conv2d_matches_direct_sum(c_in, c_out):
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
+@pytest.mark.parametrize("padding", ["zero", "circular"])
+def test_conv2d_norm_gradcheck(padding, c_in, c_out):
+    # the normalized input: x, scale and shift reach the output through the
+    # batch norm, the recomputed ReLU mask and the convolution's x-gradient
+    rng = np.random.default_rng(29)
+    x = make_tensor(rng, (3, c_in, 4, 5), scale=2.0)
+    k = make_tensor(rng, (c_out, c_in, 3, 3), scale=0.5)
+    b = make_tensor(rng, (c_out,), scale=0.1)
+    scale = make_tensor(rng, (c_in,), scale=0.5)
+    shift = make_tensor(rng, (c_in,), scale=0.5)
+
+    def build():
+        return dc.sum_all(dc.square(dc.conv2d(x, k, b, padding=padding, norm=(scale, shift))))
+
+    assert gradcheck(build, [x, k, b, scale, shift]) < GRADCHECK_TOL
+
+
+@pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
+@pytest.mark.parametrize("padding", ["zero", "circular"])
+def test_conv2d_norm_equals_relu_of_batchnorm_then_conv2d(padding, c_in, c_out):
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((3, c_in, 4, 5)))
+    k, b = Tensor(rng.standard_normal((c_out, c_in, 3, 3))), Tensor(rng.standard_normal(c_out))
+    scale, shift = Tensor(rng.standard_normal(c_in)), Tensor(rng.standard_normal(c_in))
+    fused = dc.conv2d(x, k, b, padding=padding, norm=(scale, shift)).values
+    separate = dc.conv2d(dc.relu(dc.batchnorm2d(x, scale, shift)), k, b, padding=padding).values
+    assert fused.tobytes() == separate.tobytes()
+
+
+def test_conv2d_norm_rejects_bad_scale_shape():
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    k = Tensor(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ValueError, match="scale/shift"):
+        dc.conv2d(x, k, norm=(Tensor(np.ones(3)), Tensor(np.zeros(3))))
+
+
+@pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
+@pytest.mark.parametrize("padding", ["zero", "circular"])
+def test_correlate3x3_in_groups_equals_one_group(monkeypatch, padding, c_in, c_out):
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((7, c_in, 4, 5))
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    monkeypatch.setattr(ops, "_SCRATCH_BYTES", 1 << 40)
+    whole = ops._correlate3x3(x, k, padding)
+    # one sample per group, then groups of 2 to 5 samples with a shorter last group
+    for budget in (1, 16384):
+        monkeypatch.setattr(ops, "_SCRATCH_BYTES", budget)
+        assert ops._correlate3x3(x, k, padding).tobytes() == whole.tobytes(), budget
+
+
+@pytest.mark.parametrize("c_in,c_out", [(2, 16), (16, 16), (16, 2)])
+def test_correlate3x3_scratch_stays_within_its_budget(c_in, c_out):
+    # a whole-split pass: everything but the output is one group's scratch
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((176, c_in, 16, 16))
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    peak, out = peak_bytes(lambda: ops._correlate3x3(x, k, "circular"))
+    assert peak - out.nbytes <= ops._SCRATCH_BYTES + (256 << 10)
+
+
 @pytest.mark.parametrize("mode", ["zero", "circular"])
 def test_pad2d_gradcheck(mode):
     rng = np.random.default_rng(13)
@@ -216,13 +278,18 @@ def test_pad_boundary_equals_np_pad(width):
 
 def test_relu_pins_nan_and_signed_zero():
     # the values of np.where(x > 0, x, 0): NaN and -0.0 map to +0.0
-    x = np.array([np.nan, -0.0, -1.0, 0.0, 2.0])
-    xt = Tensor._interior(x, (), ())  # a leaf Tensor would reject the NaN
+    # a leaf rejects NaN, so the first entry is inf - inf built from a finite leaf
+    big = Tensor([1e308], requires_grad=True)
+    rest = Tensor([-0.0, -1.0, 0.0, 2.0], requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inf = dc.smul(10.0, big)
+        xt = dc.concat([dc.sub(inf, inf), rest], axis=0)
+    assert np.isnan(xt.values[0]) and np.signbit(xt.values[1])
     out = dc.relu(xt)
     np.testing.assert_array_equal(out.values, [0.0, 0.0, 0.0, 0.0, 2.0])
     assert not np.signbit(out.values).any()
     backward(dc.sum_all(out))
-    np.testing.assert_array_equal(xt.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(np.concatenate([big.grad, rest.grad]), [0.0, 0.0, 0.0, 0.0, 1.0])
     # np.fmax alone keeps -0.0 at some lengths
     for n in (17, 1000, 100001):
         assert not np.signbit(dc.relu(Tensor(np.full(n, -0.0))).values).any(), n
@@ -293,6 +360,46 @@ def test_forward_backward_determinism():
     assert o1 == o2
     np.testing.assert_array_equal(gx1, gx2)
     np.testing.assert_array_equal(gk1, gk2)
+
+
+def test_backward_calls_a_records_vjps_back_to_back_with_one_g():
+    # the VJPs of one node may share work keyed on the identity of g (see
+    # tensor.py): p feeds q and r, and a feeds every record, twice into p
+    calls = []
+
+    def logged(tag):
+        def vjp(g):
+            calls.append((tag, g))
+            return g
+        return vjp
+
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    p = ops._node(a.values + b.values, [(a, logged("p0")), (b, logged("p1")), (a, logged("p2"))])
+    q = ops._node(2.0 * p.values, [(p, logged("q0")), (a, logged("q1"))])
+    r = ops._node(p.values + q.values, [(q, logged("r0")), (p, logged("r1"))])
+    backward(dc.sum_all(r))
+    tags = [tag for tag, _ in calls]
+    assert tags == ["r0", "r1", "q0", "q1", "p0", "p1", "p2"]
+    for record in "pqr":
+        gs = [g for tag, g in calls if tag[0] == record]
+        assert all(g is gs[0] for g in gs), record
+
+
+def test_normalized_nodes_run_the_batch_norm_vjp_once_per_gradient(monkeypatch):
+    # batchnorm2d and conv2d(norm=) share one batch-norm pass among their
+    # x, scale and shift VJPs
+    runs = []
+    bn_vjp = ops._bn_vjp
+    monkeypatch.setattr(ops, "_bn_vjp", lambda *args: runs.append(1) or bn_vjp(*args))
+    rng = np.random.default_rng(53)
+    x = make_tensor(rng, (2, 3, 4, 4))
+    scale, shift = make_tensor(rng, (3,)), make_tensor(rng, (3,))
+    k = make_tensor(rng, (2, 3, 3, 3))
+    h = dc.batchnorm2d(x, scale, shift)
+    backward(dc.sum_all(dc.square(dc.conv2d(h, k, norm=(scale, shift)))))
+    assert len(runs) == 2
+    assert all(t.grad is not None for t in (x, scale, shift, k))
 
 
 def test_backward_never_writes_an_array_passed_to_a_vjp():

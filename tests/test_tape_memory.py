@@ -12,7 +12,7 @@ import aphynity.diffcore as dc
 from aphynity.augments import ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec
 from aphynity.diffcore import Tensor, backward
 
-from helpers import retained_bytes
+from helpers import peak_bytes, retained_bytes
 
 BATCH, HIDDEN, GRID = 4, 16, 16
 CONV_ACTIVATION = BATCH * HIDDEN * GRID * GRID * 8
@@ -25,11 +25,22 @@ def convnet_and_state():
 
 
 def test_convnet_forward_keeps_only_what_its_vjps_read():
-    # per conv-bn-relu block: the normalized activation (batch norm's VJPs)
-    # and the ReLU output (ReLU's mask and the next kernel VJP); plus the output
+    # per conv-bn-relu block only x-hat, which the next convolution's VJPs
+    # read to recompute the activation; plus the 2-channel output
     net, state = convnet_and_state()
     held, _out = retained_bytes(lambda: net(state))
-    assert held / CONV_ACTIVATION <= 4.5
+    assert held / CONV_ACTIVATION <= 2.5
+
+
+def test_no_grad_convnet_pass_over_a_split_stays_near_three_activations():
+    # a whole-split |F_a|^2 pass: the block's input, its activation and the
+    # output, plus one bounded group of convolution scratch
+    batch = 176
+    net, _ = convnet_and_state()
+    state = Tensor(np.random.default_rng(5).standard_normal((batch, 2, GRID, GRID)))
+    with dc.no_grad():
+        peak, _out = peak_bytes(lambda: net(state))
+    assert peak / (CONV_ACTIVATION / BATCH * batch) <= 3.5
 
 
 def test_mlp_forward_keeps_only_what_its_vjps_read():

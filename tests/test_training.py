@@ -3,15 +3,19 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import aphynity.diffcore as dc
-from aphynity.augments import MlpAugmentation, MlpSpec
-from aphynity.datagen import Dataset, gen_pendulum
+from aphynity import training
+from aphynity.augments import ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec
+from aphynity.datagen import Dataset, gen_pendulum, gen_reacdiff
 from aphynity.diffcore import ParamSet, Tensor, backward
+from aphynity.diffcore.tensor import grad_enabled
 from aphynity.integrators import integrate
 from aphynity.models import AugmentedDynamics
 from aphynity.physics import make_family
 from aphynity.training import (
     TrainConfig, augmentation_norm_sq, derivative_loss, fit, trajectory_loss,
 )
+
+from helpers import numpy_buffer_bytes, retained_bytes
 
 
 class ScalarLinearFamily:
@@ -284,6 +288,63 @@ def test_final_fa_norm_sq_equals_a_fresh_norm_pass(stop):
     with dc.no_grad():
         fresh = float(augmentation_norm_sq(model.augmentation, data.all_states()).values)
     assert report.final_fa_norm_sq == fresh
+
+
+def small_reacdiff_model_and_data():
+    data = gen_reacdiff(n_seq=4, grid=16, horizon=0.3, t_init=-0.1, seed=0)
+    fam = make_family("reacdiff", "ab", dx=data.grid["dx"], init={"a": 2e-3, "b": 4e-3})
+    net = ConvNetAugmentation(ConvNetSpec(padding="circular"), seed=21)
+    return AugmentedDynamics(fam, net), data
+
+
+def test_fit_backpropagates_the_norm_term_before_building_the_rollout(monkeypatch):
+    # at the rollout's start the |F_a|^2 graph is consumed: its gradients are
+    # in, and nothing of it is held (it would hold two batch activations)
+    model, data = small_reacdiff_model_and_data()
+    n_states = data.trajectories.shape[0] * data.trajectories.shape[1]
+    batch_activation = n_states * ConvNetSpec().hidden_channels * 16 * 16 * 8
+    start, seen = [], []
+
+    def traced_integrate(*args, **kwargs):
+        if grad_enabled():
+            grads = [t.grad for t in model.augmentation.params.tensors()]
+            seen.append((numpy_buffer_bytes() - start[0], all(np.any(g != 0) for g in grads)))
+        return integrate(*args, **kwargs)
+
+    def run():
+        start.append(numpy_buffer_bytes())
+        return fit(model, data, TrainConfig(mode="aphynity", n_epochs=1, max_steps=1,
+                                            tau1=1e-3, optimizer="sgd", patience=None))
+
+    monkeypatch.setattr(training, "integrate", traced_integrate)
+    retained_bytes(run)
+    assert len(seen) == 1
+    held, norm_grads_in = seen[0]
+    assert norm_grads_in
+    assert held < 0.5 * batch_activation
+
+
+@pytest.mark.parametrize("mode", ["aphynity", "non_adaptive", "derivative_supervision"])
+def test_fit_gradients_equal_the_summed_loss_gradients_bit_for_bit(monkeypatch, mode):
+    model, data = small_reacdiff_model_and_data()
+    cfg = TrainConfig(mode=mode, n_epochs=1, max_steps=1, batch_size=2, lambda0=3.0,
+                      tau1=1e-3, optimizer="sgd", patience=None, seed=4)
+    stepped = {}
+    monkeypatch.setattr(training._Sgd, "step", lambda opt, lr: stepped.update(
+        {name: t.grad.copy() for name, t in model.params.items()}))
+    fit(model, data, cfg)
+
+    # the same step as one graph: fit's first batch, lambda * cons + |F_a|^2
+    batch = data.trajectories[np.random.default_rng(cfg.seed).permutation(data.n_traj)[:2]]
+    scale = data.trajectories.shape[0] * data.trajectories.shape[1] / (2 * batch.shape[1])
+    lam = 1.0 if mode == "non_adaptive" else cfg.lambda0
+    model.params.zero_grad()
+    cons = training._constraint_loss(model, batch, data.dt, mode)
+    norm = augmentation_norm_sq(model.augmentation, batch.reshape(-1, *batch.shape[2:]))
+    backward(dc.add(dc.smul(lam, cons), dc.smul(scale, norm)))
+    assert stepped.keys() == dict(model.params.items()).keys()
+    for name, t in model.params.items():
+        assert t.grad.tobytes() == stepped[name].tobytes(), name
 
 
 def test_config_validation():
