@@ -301,8 +301,8 @@ def test_fit_backpropagates_the_norm_term_before_building_the_rollout(monkeypatc
     # at the rollout's start the |F_a|^2 graph is consumed: its gradients are
     # in, and nothing of it is held (it would hold two batch activations)
     model, data = small_reacdiff_model_and_data()
-    n_states = data.trajectories.shape[0] * data.trajectories.shape[1]
-    batch_activation = n_states * ConvNetSpec().hidden_channels * 16 * 16 * 8
+    n_traj, n_times, _, h, w = data.trajectories.shape
+    batch_activation = n_traj * n_times * ConvNetSpec().hidden_channels * h * w * 8
     start, seen = [], []
 
     def traced_integrate(*args, **kwargs):
