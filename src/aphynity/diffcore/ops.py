@@ -306,7 +306,8 @@ def _stack(xf: np.ndarray, offsets, span: int, out=None) -> np.ndarray:
     return st.reshape(b, 9 * c, span)
 
 
-# Bytes of scratch that _correlate3x3 allocates for one group of samples.
+# Bytes of scratch that _correlate3x3 allocates for one group of samples, unless
+# a single sample needs more.
 _SCRATCH_BYTES = 1 << 20
 
 
@@ -331,8 +332,10 @@ def _correlate3x3(x: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
 
     The batch runs in groups of samples, padded one group at a time, whose
     scratch (padded input, stacked taps, tap products or the per-tap
-    temporary, and the row accumulator) stays within ``_SCRATCH_BYTES``.  So
-    a whole-split pass allocates nothing batch-sized but its output.
+    temporary, and the row accumulator) is at most the larger of
+    ``_SCRATCH_BYTES`` and one sample's scratch; a sample needs more than the
+    budget at 64x64, so such grids run in groups of one.  So a whole-split
+    pass allocates nothing batch-sized but its output.
     ``np.matmul`` runs one GEMM per batch element, so a sample's result does
     not depend on its group.
     """

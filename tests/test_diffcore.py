@@ -278,18 +278,21 @@ def test_pad_boundary_equals_np_pad(width):
 
 def test_relu_pins_nan_and_signed_zero():
     # the values of np.where(x > 0, x, 0): NaN and -0.0 map to +0.0
-    # a leaf rejects NaN, so the first entry is inf - inf built from a finite leaf
-    big = Tensor([1e308], requires_grad=True)
+    # a leaf rejects NaN, so the first entry is inf - inf built from two finite
+    # leaves; two leaves, so that big1.grad is 10 times the gradient at the NaN
+    big1 = Tensor([1e308], requires_grad=True)
+    big2 = Tensor([1e308], requires_grad=True)
     rest = Tensor([-0.0, -1.0, 0.0, 2.0], requires_grad=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        inf = dc.smul(10.0, big)
-        xt = dc.concat([dc.sub(inf, inf), rest], axis=0)
+        nan = dc.sub(dc.smul(10.0, big1), dc.smul(10.0, big2))
+        xt = dc.concat([nan, rest], axis=0)
     assert np.isnan(xt.values[0]) and np.signbit(xt.values[1])
     out = dc.relu(xt)
     np.testing.assert_array_equal(out.values, [0.0, 0.0, 0.0, 0.0, 2.0])
     assert not np.signbit(out.values).any()
     backward(dc.sum_all(out))
-    np.testing.assert_array_equal(np.concatenate([big.grad, rest.grad]), [0.0, 0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(big1.grad, [0.0])
+    np.testing.assert_array_equal(rest.grad, [0.0, 0.0, 0.0, 1.0])
     # np.fmax alone keeps -0.0 at some lengths
     for n in (17, 1000, 100001):
         assert not np.signbit(dc.relu(Tensor(np.full(n, -0.0))).values).any(), n
