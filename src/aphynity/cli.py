@@ -3,8 +3,9 @@
 Each experiment is described by one JSON config (see ``configs/``).  Commands
 validate their inputs before touching the filesystem, mark output
 directories with a ``.partial`` file until they complete, and use a fixed
-exit-code contract: 0 ok, 2 usage/validation error, 3 divergence (of training,
-or of every test rollout in evaluation), 4 artifact corruption.
+exit-code contract: 0 ok, 2 usage/validation error, 3 divergence (of a dataset
+simulation, of training, or of every test rollout in evaluation), 4 artifact
+corruption.
 ``APHYNITY_LOG`` (error/info/debug) controls verbosity.
 """
 
@@ -15,6 +16,7 @@ import concurrent.futures
 import copy
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ from .datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset,
 )
-from .integrators import BlowUpError
+from .integrators import BlowUpError, StepUnderflowError
 from .metrics import (
     evaluate, load_metrics_rows, write_metrics_csv, write_metrics_json,
 )
@@ -189,17 +191,38 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config, args.downscale)
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
     out = Path(args.out)
-    ds_cfg = cfg.get("dataset", {})
-    system = cfg["system"]
-    with _partial_marker(out):
-        for split in SPLITS:
-            ds = _generate_split(system, ds_cfg, split, seed)
-            if ds is None:
-                continue
+    splits = _generate_splits(cfg["system"], cfg.get("dataset", {}), seed)
+    marker = _partial_marker(out)
+    try:
+        # the splits give their generator the same arguments but their sizes,
+        # so a bad value fails the first split, before anything is written
+        pending = next(splits, None)
+        marker.__enter__()
+        while pending is not None:
+            split, ds = pending
             save_dataset(ds, out / split)
             log.info("%s: wrote %d trajectories of %d steps to %s",
                      split, ds.n_traj, ds.n_steps, out / split)
+            pending = next(splits, None)
+    except (BlowUpError, StepUnderflowError) as exc:
+        marker.__enter__()
+        print(f"error: the simulation diverged ({exc}); partial output kept in {out}",
+              file=sys.stderr)
+        return EXIT_DIVERGED
+    marker.__exit__(None, None, None)
     return EXIT_OK
+
+
+def _generate_splits(system: str, ds_cfg: dict, seed: int):
+    """``(split, dataset)`` for each split with trajectories, one at a time; a
+    generator's argument error is a usage error."""
+    for split in SPLITS:
+        try:
+            ds = _generate_split(system, ds_cfg, split, seed)
+        except ValueError as exc:
+            raise UsageError(f"bad {system} dataset section: {exc}") from exc
+        if ds is not None:
+            yield split, ds
 
 
 def _generate_split(system: str, ds_cfg: dict, split: str, seed: int):
@@ -324,6 +347,11 @@ def _check_compatibility(model: AugmentedDynamics, ds: Dataset) -> None:
     if desc["physics"] is not None and desc["physics"]["system"] != ds.system:
         raise UsageError(
             f"checkpoint is for {desc['physics']['system']!r}, data is {ds.system!r}")
+    model_dx = desc["physics"]["dx"] if desc["physics"] is not None else None
+    data_dx = (ds.grid or {}).get("dx")
+    if model_dx is not None and data_dx is not None and not math.isclose(model_dx, data_dx):
+        raise UsageError(f"checkpoint's physics has grid spacing dx={model_dx:.6g}, "
+                         f"data has dx={data_dx:.6g}")
     if desc["augmentation"] is not None:
         kind = desc["augmentation"]["kind"]
         if kind == "mlp" and ds.state_kind != "vector":

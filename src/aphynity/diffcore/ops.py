@@ -287,34 +287,49 @@ def pad2d(x, mode: str) -> Tensor:
     return _node(_pad(x.values, mode), [(x, lambda g: _pad_fold(g, mode))])
 
 
-def _rows(padded: np.ndarray):
-    """A padded (B, C, H+2, W+2) array as flat rows of width ``wp = W + 2``, the
-    nine tap offsets into them, and the output span: output ``n = i * wp + j``
-    reads tap (di, dj) at ``n + di * wp + dj``, so two junk columns end each row."""
-    b, c, hp, wp = padded.shape
-    offsets = [di * wp + dj for di in range(3) for dj in range(3)]
-    return padded.reshape(b, c, hp * wp), offsets, (hp - 2) * wp - 2
+def _taps(h: int, w: int):
+    """The nine tap offsets into the flat rows of a padded (H+2, W+2) grid and
+    the output span: output ``n = i * wp + j``, ``wp = W + 2``, reads tap
+    (di, dj) at ``n + di * wp + dj``, so two junk columns end each row."""
+    return [di * (w + 2) + dj for di in range(3) for dj in range(3)], h * (w + 2) - 2
 
 
-def _stack(xf: np.ndarray, offsets, span: int, out=None) -> np.ndarray:
-    """The nine tap windows of flat rows stacked as one (B, 9 * C, span) operand,
-    in ``out`` (shape (B, 9, C, span)) if given."""
-    b, c = xf.shape[:2]
-    st = np.empty((b, 9, c, span)) if out is None else out
-    for t, off in enumerate(offsets):
-        st[:, t] = xf[:, :, off:off + span]
-    return st.reshape(b, 9 * c, span)
-
-
-# Bytes of scratch that _correlate3x3 allocates for one group of samples, unless
-# a single sample needs more.
+# Bytes of scratch that one group of samples uses in a convolution product,
+# unless a single sample needs more.
 _SCRATCH_BYTES = 1 << 20
+
+
+def _groups(x: np.ndarray, mode: str, *sample_shapes):
+    """Run a (B, C, H, W) array in groups of samples, each padded as in
+    :func:`_pad` into one reused scratch block.
+
+    Yields ``(lo, rows, *buffers)`` per group: its first sample, its padded
+    input as flat (n, C, (H+2) * (W+2)) rows and one (n, *shape) buffer per
+    entry of ``sample_shapes``.  The group size keeps this scratch at most
+    the larger of ``_SCRATCH_BYTES`` and one sample's scratch; a sample needs
+    more than the budget at 64x64, so such grids run in groups of one.
+    """
+    b, c, h, w = x.shape
+    shapes = [(c, (h + 2) * (w + 2)), *sample_shapes]
+    sizes = [math.prod(shape) for shape in shapes]
+    group = max(1, min(b, _SCRATCH_BYTES // (8 * sum(sizes))))
+    # one allocation for all buffers: three separate ones of about half a
+    # megabyte fragmented the heap enough to raise a 64x64 forecast's peak RSS
+    # by a tenth
+    block = np.empty(group * sum(sizes))
+    ends = [group * sum(sizes[:i + 1]) for i in range(len(sizes))]
+    rows, *scratch = [block[end - group * size:end].reshape(group, *shape)
+                      for shape, size, end in zip(shapes, sizes, ends)]
+    for lo in range(0, b, group):
+        n = min(group, b - lo)
+        _pad(x[lo:lo + n], mode, out=rows[:n].reshape(n, c, h + 2, w + 2))
+        yield lo, rows[:n], *(buf[:n] for buf in scratch)
 
 
 def _correlate3x3(x: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
     """Same-padded 3x3 correlation of a (B, c_in, H, W) array with a
     (c_out, c_in, 3, 3) kernel, as shifted matmuls on the flat rows of the
-    padded input (see :func:`_rows`); ``mode`` is the padding, as in :func:`_pad`.
+    padded input (see :func:`_taps`); ``mode`` is the padding, as in :func:`_pad`.
 
     The grouping of the taps is read off the shapes.  One matmul per tap has
     an inner dimension of only ``c_in`` and writes or updates the
@@ -330,19 +345,15 @@ def _correlate3x3(x: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
     * otherwise: one matmul per tap; the first writes the accumulator and
       the others add into it through one reused temporary.
 
-    The batch runs in groups of samples, padded one group at a time, whose
-    scratch (padded input, stacked taps, tap products or the per-tap
-    temporary, and the row accumulator) is at most the larger of
-    ``_SCRATCH_BYTES`` and one sample's scratch; a sample needs more than the
-    budget at 64x64, so such grids run in groups of one.  So a whole-split
-    pass allocates nothing batch-sized but its output.
-    ``np.matmul`` runs one GEMM per batch element, so a sample's result does
-    not depend on its group.
+    The batch runs in the sample groups of :func:`_groups`, whose scratch
+    holds the stacked taps, tap products or the per-tap temporary, and the
+    row accumulator, so a whole-split pass allocates nothing batch-sized but
+    its output.  ``np.matmul`` runs one GEMM per batch element, so a
+    sample's result does not depend on its group.
     """
     b, c, h, w = x.shape
     o = kernel.shape[0]
-    hp, wp = h + 2, w + 2
-    span = h * wp - 2
+    offsets, span = _taps(h, w)
     if c < o:
         # column t * c + ci of the packed kernel is kernel[:, ci, di, dj], t = 3 * di + dj
         packed = kernel.transpose(0, 2, 3, 1).reshape(o, 9 * c)
@@ -350,39 +361,28 @@ def _correlate3x3(x: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
     elif c > o:
         # channels t * o .. (t + 1) * o of the product are tap t applied everywhere
         packed = kernel.transpose(2, 3, 0, 1).reshape(9 * o, c)
-        sample_scratch = (9 * o, hp * wp)
+        sample_scratch = (9 * o, (h + 2) * (w + 2))
     else:
         sample_scratch = (o, span)
-    per_sample = 8 * (c * hp * wp + math.prod(sample_scratch) + o * h * wp)
-    group = max(1, min(b, _SCRATCH_BYTES // per_sample))
-    # one allocation for the three buffers: three separate ones of about half a
-    # megabyte fragmented the heap enough to raise a 64x64 forecast's peak RSS
-    # by a tenth
-    block = np.empty(group * per_sample // 8)
-    end_padded = group * c * hp * wp
-    end_scratch = end_padded + group * math.prod(sample_scratch)
-    padded = block[:end_padded].reshape(group, c, hp, wp)
-    scratch = block[end_padded:end_scratch].reshape(group, *sample_scratch)
-    acc = block[end_scratch:].reshape(group, o, h, wp)
     out = np.empty((b, o, h, w))
-    for lo in range(0, b, group):
-        part = x[lo:lo + group]
-        n = part.shape[0]
-        xf, offsets, _ = _rows(_pad(part, mode, out=padded[:n]))
-        acc_span = acc[:n].reshape(n, o, -1)[:, :, :span]
+    for lo, xf, scratch, acc in _groups(x, mode, sample_scratch, (o, h, w + 2)):
+        n = len(xf)
+        acc_span = acc.reshape(n, o, -1)[:, :, :span]
         if c < o:
-            np.matmul(packed, _stack(xf, offsets, span, out=scratch[:n]), out=acc_span)
+            for t, off in enumerate(offsets):
+                scratch[:, t] = xf[:, :, off:off + span]
+            np.matmul(packed, scratch.reshape(n, 9 * c, span), out=acc_span)
         elif c > o:
-            taps = np.matmul(packed, xf, out=scratch[:n])
+            taps = np.matmul(packed, xf, out=scratch)
             np.copyto(acc_span, taps[:, :o, :span])
             for t, off in enumerate(offsets[1:], 1):
                 acc_span += taps[:, t * o:(t + 1) * o, off:off + span]
         else:
             np.matmul(kernel[:, :, 0, 0], xf[:, :, :span], out=acc_span)
             for t, off in enumerate(offsets[1:], 1):
-                np.matmul(kernel[:, :, t // 3, t % 3], xf[:, :, off:off + span], out=scratch[:n])
-                acc_span += scratch[:n]
-        out[lo:lo + n] = acc[:n, :, :, :-2]
+                np.matmul(kernel[:, :, t // 3, t % 3], xf[:, :, off:off + span], out=scratch)
+                acc_span += scratch
+        out[lo:lo + n] = acc[:, :, :, :-2]
     return out
 
 
@@ -395,9 +395,9 @@ def conv2d(x, kernel, bias=None, padding: str = "zero", norm=None) -> Tensor:
     With stride 1 and same padding, the x-VJP is the same-padded correlation
     of the output gradient with the flipped, channel-transposed kernel
     (Dumoulin & Visin, 2016), so it runs :func:`_correlate3x3` like the
-    forward pass.  The kernel VJP pads the unpadded input again; it flattens
-    the gradient once and stacks the input's tap windows when c_in < c_out,
-    or runs one matmul per tap.
+    forward pass.  The kernel VJP runs one matmul per tap between the output
+    gradient, with zeros in its junk columns, and the padded input's tap
+    windows.  All three products run in the same bounded sample groups.
 
     With ``norm=(scale, shift)`` the convolution's input is
     ``relu(batchnorm2d(x, scale, shift))``, computed inside this one node and
@@ -455,16 +455,16 @@ def conv2d(x, kernel, bias=None, padding: str = "zero", norm=None) -> Tensor:
             return grads(g)[3]
 
     def vjp_k(g):
-        xf, offsets, span = _rows(_pad(conv_input(g), padding))
-        gw = np.zeros((b, o, h, w + 2))
-        gw[:, :, :, :w] = g
-        gf = gw.reshape(b, o, -1)[:, :, :span]
-        if c < o:
-            gkp = (gf @ _stack(xf, offsets, span).transpose(0, 2, 1)).sum(axis=0)
-        else:
-            gkp = np.stack([(gf @ xf[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
-                            for off in offsets], axis=1)
-        return np.ascontiguousarray(gkp.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
+        offsets, span = _taps(h, w)
+        gk = np.zeros((9, o, c))
+        for lo, xf, gw, prod in _groups(conv_input(g), padding, (o, h, w + 2), (9, o, c)):
+            gw[:, :, :, :w] = g[lo:lo + len(xf)]
+            gw[:, :, :, w:] = 0.0
+            gf = gw.reshape(len(xf), o, -1)[:, :, :span]
+            for t, off in enumerate(offsets):
+                np.matmul(gf, xf[:, :, off:off + span].transpose(0, 2, 1), out=prod[:, t])
+            gk += prod.sum(axis=0)
+        return np.ascontiguousarray(gk.reshape(3, 3, o, c).transpose(2, 3, 0, 1))
 
     edges.append((kernel, vjp_k))
     if bias is not None:

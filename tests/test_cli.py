@@ -391,3 +391,80 @@ def test_field_system_round_trip(tmp_path, capsys, system, variant):
     assert model.physical.variant == variant
     assert model.physical.dx == load_dataset(data / "train").grid["dx"]
     assert model.physical.param_values() == summary["final_params"]
+
+
+def field_config(tmp_path, system, dataset, **overrides):
+    cfg = {"name": system, "system": system, "physics": "incomplete",
+           "augmentation": "convnet", "mode": "aphynity", "seed": 0,
+           "dataset": dataset, **overrides}
+    path = tmp_path / f"{system}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("system,dataset,message", [
+    ("wave", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 4, "n_steps": 2},
+     "grid must be at least 8"),
+    ("reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "horizon": 0.2,
+                  "dt_sim": 0.0003, "dt_data": 0.1}, "integer multiple"),
+    ("pendulum", {"t0_period": -1}, "t0_period"),
+])
+def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys, system,
+                                                               dataset, message):
+    if system == "pendulum":
+        cfg = tiny_pendulum_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["dataset"].update(dataset)
+        cfg.write_text(json.dumps(raw))
+    else:
+        cfg = field_config(tmp_path, system, dataset)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, capsys):
+    cfg = field_config(tmp_path, "wave", {"n_train": 1, "n_valid": 0, "n_test": 1,
+                                          "grid": 8, "c": 100000.0, "n_steps": 200})
+    with np.errstate(all="ignore"):
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+    assert (tmp_path / "data" / ".partial").exists()
+
+
+def test_generate_step_underflow_after_a_written_split_exits_3_and_keeps_it(
+        tmp_path, capsys, monkeypatch):
+    import aphynity.cli as cli
+    from aphynity.integrators import StepUnderflowError
+
+    real = cli.gen_pendulum
+
+    def gen_pendulum(**kwargs):
+        if kwargs["split"] == "valid":
+            raise StepUnderflowError("step size underflow in row 0")
+        return real(**kwargs)
+
+    monkeypatch.setattr(cli, "gen_pendulum", gen_pendulum)
+    cfg = tiny_pendulum_config(tmp_path)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 3
+    assert "underflow" in capsys.readouterr().err
+    assert load_dataset(tmp_path / "data" / "train").n_traj == 5
+    assert not (tmp_path / "data" / "valid").exists()
+    assert (tmp_path / "data" / ".partial").exists()
+
+
+def test_evaluate_rejects_a_grid_spacing_the_checkpoint_was_not_built_for(tmp_path, capsys):
+    # a reaction-diffusion model built on an 8-point grid scoring a 12-point
+    # grid would scale its Laplacian by (11 / 7)^2
+    family = make_family("reacdiff", "ab", dx=2.0 / 7)
+    save_checkpoint(AugmentedDynamics(family, None), tmp_path / "checkpoint")
+    cfg = field_config(tmp_path, "reacdiff", {"n_train": 0, "n_valid": 0, "n_test": 1,
+                                              "grid": 12, "horizon": 0.2})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dx=0.285714" in err and "dx=0.181818" in err
+    assert not (tmp_path / "eval").exists()

@@ -113,7 +113,7 @@ def test_primitive_gradcheck(name):
 # (4, 4) runs one matmul per tap, and that of (4, 2) runs one GEMM over all nine
 # taps' kernels and nine shifted adds.  The x-VJP correlates with the
 # channel-transposed kernel, so there (2, 4) and (4, 2) swap groupings.  The
-# kernel VJP stacks the taps for (2, 4) and runs one matmul per tap otherwise.
+# kernel VJP runs one matmul per tap for all three.
 CONV_CHANNELS = [(2, 4), (4, 4), (4, 2)]
 
 
@@ -213,28 +213,67 @@ def test_conv2d_norm_rejects_bad_scale_shape():
         dc.conv2d(x, k, norm=(Tensor(np.ones(3)), Tensor(np.zeros(3))))
 
 
+def kernel_gradient(x, k, padding):
+    """``conv2d``'s kernel gradient for a fixed output gradient; the input is
+    a constant, so the kernel VJP is the only product that runs."""
+    kt = Tensor(k, requires_grad=True)
+    out = dc.conv2d(Tensor(x), kt, padding=padding)
+    g = np.random.default_rng(41).standard_normal(out.values.shape)
+    backward(dc.sum_all(dc.mul(out, Tensor(g))))
+    return kt.grad
+
+
+@pytest.mark.parametrize("product", ["correlate3x3", "kernel_gradient"])
 @pytest.mark.parametrize("c_in,c_out", CONV_CHANNELS)
 @pytest.mark.parametrize("padding", ["zero", "circular"])
-def test_correlate3x3_in_groups_equals_one_group(monkeypatch, padding, c_in, c_out):
+def test_correlate3x3_in_groups_equals_one_group(monkeypatch, padding, c_in, c_out, product):
+    # a sample's correlation does not depend on its group, so it is byte-equal;
+    # the kernel gradient adds up each group's sum over its samples, so only
+    # its rounding may depend on the group size
     rng = np.random.default_rng(37)
     x = rng.standard_normal((7, c_in, 4, 5))
     k = rng.standard_normal((c_out, c_in, 3, 3))
+    run = ops._correlate3x3 if product == "correlate3x3" else kernel_gradient
     monkeypatch.setattr(ops, "_SCRATCH_BYTES", 1 << 40)
-    whole = ops._correlate3x3(x, k, padding)
-    # one sample per group, then groups of 2 to 5 samples with a shorter last group
-    for budget in (1, 16384):
+    whole = run(x, k, padding)
+    # one sample per group, then groups of 2 to 7 samples, for each product at
+    # least once with a shorter last group
+    for budget in (1, 8192, 16384):
         monkeypatch.setattr(ops, "_SCRATCH_BYTES", budget)
-        assert ops._correlate3x3(x, k, padding).tobytes() == whole.tobytes(), budget
+        grouped = run(x, k, padding)
+        if product == "correlate3x3":
+            assert grouped.tobytes() == whole.tobytes(), budget
+        else:
+            np.testing.assert_allclose(grouped, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
 
 
 @pytest.mark.parametrize("c_in,c_out", [(2, 16), (16, 16), (16, 2)])
-def test_correlate3x3_scratch_stays_within_its_budget(c_in, c_out):
-    # a whole-split pass: everything but the output is one group's scratch
+@pytest.mark.parametrize("batch,grid", [(176, 16), (4, 64)])
+def test_correlate3x3_scratch_stays_within_its_budget(batch, grid, c_in, c_out):
+    # everything but the output is one group's scratch.  At 64x64 one sample
+    # needs more than the budget: its padded input, its tap scratch (the
+    # stacked taps of the thinner side, or one c_out-channel temporary) and
+    # its accumulator, each at most (grid + 2)^2 numbers per channel
     rng = np.random.default_rng(47)
-    x = rng.standard_normal((176, c_in, 16, 16))
+    x = rng.standard_normal((batch, c_in, grid, grid))
     k = rng.standard_normal((c_out, c_in, 3, 3))
+    taps = 9 * min(c_in, c_out) if c_in != c_out else c_out
+    one_sample = 8 * (grid + 2) ** 2 * (c_in + taps + c_out)
     peak, out = peak_bytes(lambda: ops._correlate3x3(x, k, "circular"))
-    assert peak - out.nbytes <= ops._SCRATCH_BYTES + (256 << 10)
+    assert peak - out.nbytes <= max(ops._SCRATCH_BYTES, one_sample) + (256 << 10)
+
+
+@pytest.mark.parametrize("c_in,c_out", [(2, 16), (16, 16), (16, 2)])
+def test_conv2d_kernel_gradient_scratch_stays_within_the_budget(c_in, c_out):
+    # the kernel gradient of a whole-split pass at 16x16: beyond the output
+    # gradient it is handed, it holds one group's scratch, not the batch's
+    rng = np.random.default_rng(53)
+    out = dc.conv2d(Tensor(rng.standard_normal((176, c_in, 16, 16))),
+                    Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True),
+                    padding="circular")
+    root = dc.sum_all(out)
+    peak, _ = peak_bytes(lambda: backward(root))
+    assert peak - out.values.nbytes <= ops._SCRATCH_BYTES + (256 << 10)
 
 
 @pytest.mark.parametrize("mode", ["zero", "circular"])
