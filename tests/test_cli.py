@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from aphynity.cli import main
-from aphynity.datagen import load_dataset
+from aphynity.datagen import gen_pendulum, load_dataset
+from aphynity.integrators import StepUnderflowError
 from aphynity.metrics import load_metrics_rows
 from aphynity.models import AugmentedDynamics, load_checkpoint, save_checkpoint
 from aphynity.physics import make_family
@@ -393,10 +394,9 @@ def test_field_system_round_trip(tmp_path, capsys, system, variant):
     assert model.physical.param_values() == summary["final_params"]
 
 
-def field_config(tmp_path, system, dataset, **overrides):
+def field_config(tmp_path, system, dataset):
     cfg = {"name": system, "system": system, "physics": "incomplete",
-           "augmentation": "convnet", "mode": "aphynity", "seed": 0,
-           "dataset": dataset, **overrides}
+           "augmentation": "convnet", "mode": "aphynity", "seed": 0, "dataset": dataset}
     path = tmp_path / f"{system}.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -411,13 +411,8 @@ def field_config(tmp_path, system, dataset, **overrides):
 ])
 def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys, system,
                                                                dataset, message):
-    if system == "pendulum":
-        cfg = tiny_pendulum_config(tmp_path)
-        raw = json.loads(cfg.read_text())
-        raw["dataset"].update(dataset)
-        cfg.write_text(json.dumps(raw))
-    else:
-        cfg = field_config(tmp_path, system, dataset)
+    cfg = (tiny_pendulum_config(tmp_path, dataset=dataset) if system == "pendulum"
+           else field_config(tmp_path, system, dataset))
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
@@ -435,17 +430,12 @@ def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, caps
 
 def test_generate_step_underflow_after_a_written_split_exits_3_and_keeps_it(
         tmp_path, capsys, monkeypatch):
-    import aphynity.cli as cli
-    from aphynity.integrators import StepUnderflowError
-
-    real = cli.gen_pendulum
-
-    def gen_pendulum(**kwargs):
+    def underflowing_on_valid(**kwargs):
         if kwargs["split"] == "valid":
             raise StepUnderflowError("step size underflow in row 0")
-        return real(**kwargs)
+        return gen_pendulum(**kwargs)
 
-    monkeypatch.setattr(cli, "gen_pendulum", gen_pendulum)
+    monkeypatch.setattr("aphynity.cli.gen_pendulum", underflowing_on_valid)
     cfg = tiny_pendulum_config(tmp_path)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 3
     assert "underflow" in capsys.readouterr().err
