@@ -58,14 +58,16 @@ def load_artifact(path, header_name: str, payload_name: str, version: int,
         raise error(f"{header_name} holds a {type(header).__name__}, not a JSON object")
     if header.get("format_version") != version:
         raise error(f"unsupported {header_name} version {header.get('format_version')!r}")
-    try:
-        payload = (path / payload_name).read_bytes()
+    try:  # read straight into the array, so the payload is held once
+        size = (path / payload_name).stat().st_size
+        values = np.empty(size // 8, dtype="<f8")
+        with open(path / payload_name, "rb") as fh:
+            n_read = fh.readinto(values)
     except OSError as exc:
         raise error(f"cannot read {payload_name}: {exc}") from exc
     with describing(header_name, payload_name, error):
-        if len(payload) != header["payload_bytes"]:
+        if size != header["payload_bytes"] or n_read != size:
             raise error(f"{payload_name} is truncated")
-        if zlib.crc32(payload) != header["payload_crc32"]:
+        if zlib.crc32(values) != header["payload_crc32"]:
             raise error(f"{payload_name} failed its checksum")
-        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return header, values
+    return header, values.astype(np.float64, copy=False)

@@ -111,6 +111,14 @@ def validate_config(cfg: dict) -> None:
     unknown = sorted(set(ds_cfg) - set(DATASET_DEFAULTS[system]))
     if unknown:
         raise UsageError(f"unknown {system} dataset key(s): {', '.join(unknown)}")
+    # types and signs only; the generators keep the range rules
+    for key, value in ds_cfg.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"{system} dataset {key} must be a number, got {value!r}")
+        if isinstance(DATASET_DEFAULTS[system][key], int) and \
+                not (isinstance(value, int) and value >= 0):
+            raise UsageError(f"{system} dataset {key} must be a non-negative integer, "
+                             f"got {value!r}")
     physics = cfg.get("physics", "none")
     if physics not in ("none", "incomplete", "complete", "true"):
         raise UsageError(f"unknown physics level {physics!r}")
@@ -195,7 +203,8 @@ def cmd_generate(args) -> int:
     marker = _partial_marker(out)
     try:
         # the splits give their generator the same arguments but their sizes,
-        # so a bad value fails the first split, before anything is written
+        # which validate_config checked, so a bad value fails the first split
+        # before anything is written
         pending = next(splits, None)
         marker.__enter__()
         while pending is not None:

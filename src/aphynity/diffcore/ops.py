@@ -445,7 +445,7 @@ def conv2d(x, kernel, bias=None, padding: str = "zero", norm=None) -> Tensor:
             act = _bn_relu(xhat, sc, sh)
             gy = grad_input(g).reshape(b, c, -1)
             gy *= act > 0
-            return (*_bn_vjp(gy, xhat, sc, inv_std), act.reshape(shape))
+            return (*_bn_vjp(gy, xhat, sc, inv_std, out=gy), act.reshape(shape))
 
         grads = _per_gradient(through_norm)
         edges = [(x, lambda g: grads(g)[0].reshape(shape)),
@@ -528,17 +528,21 @@ def _bn_affine(xhat: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None)
     return out
 
 
-def _bn_vjp(gr: np.ndarray, xhat: np.ndarray, scale: np.ndarray, inv_std: np.ndarray):
+def _bn_vjp(gr: np.ndarray, xhat: np.ndarray, scale: np.ndarray, inv_std: np.ndarray,
+            out=None):
     """The x, scale and shift gradients of ``x̂ * scale + shift`` for an output
     gradient ``gr``, all on the (B, C, H*W) view: the standard batch-norm
-    gradient through the mean and the variance."""
+    gradient through the mean and the variance.  The x-gradient is built one
+    channel at a time, so ``out=gr`` overwrites ``gr`` with no batch-sized
+    temporary."""
     n = gr.shape[0] * gr.shape[2]
     g_shift = np.einsum("bcn->c", gr)
     g_scale = np.einsum("bcn,bcn->c", gr, xhat)
-    gx = xhat * (g_scale / n)[:, None]
-    np.subtract(gr, gx, out=gx)
-    gx -= (g_shift / n)[:, None]
-    gx *= (scale * inv_std)[:, None]
+    gx = np.empty_like(gr) if out is None else out
+    for ch in range(gr.shape[1]):
+        gc = np.subtract(gr[:, ch], xhat[:, ch] * (g_scale[ch] / n), out=gx[:, ch])
+        gc -= g_shift[ch] / n
+        gc *= scale[ch] * inv_std[ch]
     return gx, g_scale, g_shift
 
 

@@ -25,7 +25,7 @@ from .integrators import BlowUpError, integrate
 from .models import AugmentedDynamics
 from .training import augmentation_norm_sq
 
-__all__ = ["MetricsRecord", "log_mse", "param_error_pct", "evaluate",
+__all__ = ["MetricsRecord", "param_error_pct", "evaluate",
            "write_metrics_csv", "write_metrics_json", "load_metrics_rows"]
 
 CSV_COLUMNS = [
@@ -117,22 +117,6 @@ def _json_float(x):
     return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
 
 
-def log_mse(pred: np.ndarray, truth: np.ndarray, horizon: int) -> float:
-    """Base-10 log of the MSE over predicted steps 1..horizon, all entries.
-
-    ``pred``/``truth`` are (N, T+1, ...) stacks sharing the initial state.
-    A perfect forecast returns ``-inf``.
-    """
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    if horizon < 1 or horizon > truth.shape[1] - 1:
-        raise ValueError(f"horizon {horizon} outside 1..{truth.shape[1] - 1}")
-    mse = float(np.mean((pred[:, 1:horizon + 1] - truth[:, 1:horizon + 1]) ** 2))
-    if mse == 0.0:
-        return float("-inf")
-    return math.log10(mse)
-
-
 def param_error_pct(estimated: dict[str, float],
                     true: dict[str, float]) -> tuple[dict[str, float], float]:
     """Per-parameter ``100 |est - true| / |true|`` and the arithmetic mean."""
@@ -157,10 +141,22 @@ def reported_params(values: dict[str, float]) -> dict[str, float]:
     return out
 
 
-def _rollout(model: AugmentedDynamics, x0: np.ndarray, n_steps: int, dt: float):
+def _squared_errors(model: AugmentedDynamics, truth: np.ndarray, horizon: int,
+                    dt: float) -> np.ndarray:
+    """Each trajectory's summed squared error over forecast steps 1..horizon.
+
+    ``truth`` is (N, T+1, ...), rolled out from ``truth[:, 0]`` for all T
+    steps, so a blow-up anywhere raises ``BlowUpError``.  Only the current
+    state is kept; no temporary outgrows one state batch."""
+    sums = np.zeros(truth.shape[0])
     with dc.no_grad():
-        states = integrate(model.rhs, Tensor(x0), n_steps, dt)
-        return np.stack([s.values for s in states], axis=1)
+        x = Tensor(truth[:, 0])
+        for t in range(1, truth.shape[1]):
+            x = integrate(model.rhs, x, 1, dt)[1]
+            if t <= horizon:
+                err = np.subtract(x.values, truth[:, t])
+                sums += np.square(err, out=err).reshape(len(sums), -1).sum(axis=1)
+    return sums
 
 
 def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
@@ -171,30 +167,31 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
     All test trajectories are rolled out in one batch (batch-norm residuals
     see the full test batch, keeping evaluation deterministic).  If the batch
     blows up, trajectories are retried one by one and the diverging ones are
-    excluded and counted.  The residual norm is computed over ``train``'s
-    states when given, else taken from ``fa_norm_sq`` (a value recorded at
-    train time), else left unset.
+    excluded and counted.  ``log_mse`` is log10 of the kept trajectories'
+    mean squared error over steps 1..horizon, ``-inf`` for a perfect forecast.
+    Scoring streams: each step is scored as it is made, so besides the test
+    data evaluation holds one state batch and one model pass's scratch,
+    whatever the trajectory length.  The residual norm is computed over
+    ``train``'s states when given, else taken from ``fa_norm_sq`` (a value
+    recorded at train time), else left unset.
     """
-    n_steps = test.n_steps
-    if horizon < 1 or horizon > n_steps:
-        raise ValueError(f"horizon {horizon} exceeds trajectory length {n_steps}")
+    if horizon < 1 or horizon > test.n_steps:
+        raise ValueError(f"horizon {horizon} outside 1..{test.n_steps}")
     truth = test.trajectories
-    excluded = 0
     try:
-        pred = _rollout(model, truth[:, 0], n_steps, test.dt)
-        kept = np.ones(truth.shape[0], dtype=bool)
+        sums = _squared_errors(model, truth, horizon, test.dt)
     except BlowUpError:
-        preds, kept = [], np.zeros(truth.shape[0], dtype=bool)
-        for i in range(truth.shape[0]):
+        sums = []
+        for i in range(len(truth)):
             try:
-                preds.append(_rollout(model, truth[i:i + 1, 0], n_steps, test.dt)[0])
-                kept[i] = True
+                sums.append(_squared_errors(model, truth[i:i + 1], horizon, test.dt))
             except BlowUpError:
-                excluded += 1
-        if not preds:
+                pass
+        if not sums:
             raise
-        pred = np.stack(preds)
-    lm = log_mse(pred, truth[kept], horizon)
+        sums = np.concatenate(sums)
+    mse = sums.sum() / (len(sums) * horizon * math.prod(truth.shape[2:]))
+    lm = float("-inf") if mse == 0 else math.log10(mse)
 
     desc = model.describe()
     physics = f"{desc['physics']['system']}:{desc['physics']['variant']}" \
@@ -233,7 +230,7 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
         physics=physics, augmentation=augmentation, mode=mode, seed=seed,
         horizon=horizon, log_mse=lm, param_err_pct=errors, param_err_avg_pct=avg,
         fa_norm_sq=norm_val, fa_norm_source=norm_src,
-        excluded_trajectories=excluded, estimated_params=estimated)
+        excluded_trajectories=len(truth) - len(sums), estimated_params=estimated)
 
 
 def write_metrics_csv(records, path) -> None:

@@ -66,3 +66,42 @@ def test_save_load_save_writes_identical_bytes(tmp_path, kind):
     resave(tmp_path / "a", tmp_path / "b")
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def longer(path):
+    path.write_bytes(path.read_bytes() + struct.pack("<d", 0.0))
+
+
+def shorter(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def one_byte_longer(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def flipped_bit(path):
+    blob = bytearray(path.read_bytes())
+    blob[3] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def replaced_by_a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (longer, "body.bin is truncated"),
+    (shorter, "body.bin is truncated"),
+    (one_byte_longer, "body.bin is truncated"),
+    (flipped_bit, "body.bin failed its checksum"),
+    (lambda path: path.unlink(), "cannot read body.bin"),
+    (replaced_by_a_directory, "cannot read body.bin"),
+], ids=["longer", "shorter", "one_byte_longer", "crc", "missing", "directory"])
+def test_load_artifact_raises_the_owners_error_for_a_bad_payload(tmp_path, corrupt, message):
+    save_artifact(tmp_path / "a", "head.json", "body.bin", {"format_version": 7},
+                  [1.5, -2.0, 3.25])
+    corrupt(tmp_path / "a" / "body.bin")
+    with pytest.raises(FormatError, match=message):
+        load_artifact(tmp_path / "a", "head.json", "body.bin", 7, FormatError)

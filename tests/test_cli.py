@@ -408,6 +408,17 @@ def field_config(tmp_path, system, dataset):
     ("reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "horizon": 0.2,
                   "dt_sim": 0.0003, "dt_data": 0.1}, "integer multiple"),
     ("pendulum", {"t0_period": -1}, "t0_period"),
+    ("reacdiff", {"n_train": 1.5, "n_valid": 0, "n_test": 1, "grid": 8, "horizon": 0.2},
+     "n_train must be a non-negative integer, got 1.5"),
+    ("reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": "8", "horizon": 0.2},
+     "grid must be a number, got '8'"),
+    # the train split alone would be valid, so this once failed after writing it
+    ("reacdiff", {"n_train": 1, "n_valid": -1, "n_test": 1, "grid": 8, "horizon": 0.2},
+     "n_valid must be a non-negative integer, got -1"),
+    ("reacdiff", {"n_train": 1, "n_valid": 0, "n_test": True, "grid": 8, "horizon": 0.2},
+     "n_test must be a number, got True"),
+    ("wave", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "c": [330.0]},
+     "c must be a number"),
 ])
 def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys, system,
                                                                dataset, message):

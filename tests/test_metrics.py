@@ -1,53 +1,95 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import aphynity.diffcore as dc
 from aphynity.augments import MlpAugmentation, MlpSpec
 from aphynity.datagen import Dataset, gen_pendulum
+from aphynity.diffcore import Tensor
+from aphynity.integrators import integrate
 from aphynity.metrics import (
-    MetricsRecord, evaluate, load_metrics_rows, log_mse, param_error_pct,
+    MetricsRecord, _squared_errors, evaluate, load_metrics_rows, param_error_pct,
     reported_params, write_metrics_csv, write_metrics_json,
 )
 from aphynity.models import AugmentedDynamics
 from aphynity.physics import make_family
 
-
-def test_log_mse_scale():
-    truth = np.zeros((2, 5, 3))
-    pred = truth + 1e-4  # squared error 1e-8 everywhere
-    assert log_mse(pred, truth, 4) == pytest.approx(-8.0, abs=1e-12)
+from helpers import peak_bytes
 
 
-def test_log_mse_perfect_forecast_sentinel():
-    truth = np.random.default_rng(0).standard_normal((3, 4, 2))
-    assert log_mse(truth.copy(), truth, 3) == float("-inf")
+def field_model_and_data(n_traj, n_steps, grid=16, seed=0):
+    """A physics-only reaction-diffusion model and random test fields."""
+    fam = make_family("reacdiff", "abk", dx=1.0, init={"a": 0.1, "b": 0.2, "k": 0.01},
+                      trainable=False)
+    fields = np.random.default_rng(seed).uniform(size=(n_traj, n_steps + 1, 2, grid, grid))
+    ds = Dataset(system="reacdiff", split="test", dt=0.05, trajectories=fields,
+                 true_params={"a": 0.1}, noise_sigma=0.0, seed=seed,
+                 grid={"dx": 1.0, "bc": "periodic"})
+    return AugmentedDynamics(fam, None), ds
 
 
-def test_log_mse_matches_independent_arithmetic():
-    rng = np.random.default_rng(1)
-    truth = rng.standard_normal((2, 6, 2))
-    pred = rng.standard_normal((2, 6, 2))
-    pred[:, 0] = truth[:, 0]
-    expected = np.log10(np.mean((pred[:, 1:5] - truth[:, 1:5]) ** 2))
-    assert log_mse(pred, truth, 4) == pytest.approx(expected, rel=1e-12)
+def forecast(model, ds):
+    """The model's whole rollout of ``ds``, stacked as (N, T+1, ...)."""
+    with dc.no_grad():
+        states = integrate(model.rhs, Tensor(ds.trajectories[:, 0]), ds.n_steps, ds.dt)
+    return np.stack([s.values for s in states], axis=1)
 
 
-def test_log_mse_monotone_and_shift():
-    truth = np.zeros((1, 4, 2))
-    diff = np.random.default_rng(2).standard_normal((1, 4, 2))
+def with_trajectories(ds, trajectories):
+    return dataclasses.replace(ds, trajectories=trajectories)
+
+
+def test_evaluate_matches_independent_arithmetic_over_the_horizon():
+    model, ds = field_model_and_data(n_traj=3, n_steps=6)
+    pred = forecast(model, ds)
+    expected = np.log10(np.mean((pred[:, 1:5] - ds.trajectories[:, 1:5]) ** 2))
+    assert evaluate(model, ds, horizon=4).log_mse == pytest.approx(expected, rel=1e-12)
+
+
+def test_evaluate_scores_a_perfect_forecast_as_minus_infinity():
+    model, ds = field_model_and_data(n_traj=2, n_steps=3)
+    assert evaluate(model, with_trajectories(ds, forecast(model, ds)), 3).log_mse == \
+        float("-inf")
+
+
+def test_evaluate_moves_one_decade_per_tenfold_squared_error():
+    model, ds = field_model_and_data(n_traj=2, n_steps=4)
+    pred = forecast(model, ds)
+    diff = 1e-4 * np.random.default_rng(2).standard_normal(pred.shape)
     diff[:, 0] = 0
-    small = log_mse(truth + diff, truth, 3)
-    # scaling the MSE by 10 raises log_mse by exactly 1
-    big = log_mse(truth + np.sqrt(10.0) * diff, truth, 3)
-    assert big == pytest.approx(small + 1.0, abs=1e-12)
-    assert big > small
+    small = evaluate(model, with_trajectories(ds, pred + diff), 3).log_mse
+    big = evaluate(model, with_trajectories(ds, pred + np.sqrt(10.0) * diff), 3).log_mse
+    assert small == pytest.approx(np.log10(np.mean(diff[:, 1:4] ** 2)), abs=1e-9)
+    assert big == pytest.approx(small + 1.0, abs=1e-9)
 
 
-def test_log_mse_horizon_validation():
-    truth = np.zeros((1, 4, 2))
-    with pytest.raises(ValueError):
-        log_mse(truth, truth, 4)
-    with pytest.raises(ValueError):
-        log_mse(truth, truth, 0)
+@pytest.mark.parametrize("horizon", [0, 5])
+def test_evaluate_rejects_a_horizon_outside_the_trajectory(horizon):
+    model, ds = field_model_and_data(n_traj=1, n_steps=4)
+    with pytest.raises(ValueError, match="outside 1..4"):
+        evaluate(model, ds, horizon)
+
+
+def test_batched_and_one_by_one_scoring_agree_bit_for_bit():
+    # with no batch norm in the model, a trajectory's forecast and its
+    # squared-error sum do not depend on the batch it is scored in
+    model, ds = field_model_and_data(n_traj=4, n_steps=5)
+    batched = _squared_errors(model, ds.trajectories, 4, ds.dt)
+    alone = [_squared_errors(model, ds.trajectories[i:i + 1], 4, ds.dt)[0] for i in range(4)]
+    assert np.array_equal(batched, alone)
+
+
+def test_evaluate_memory_does_not_grow_with_trajectory_length():
+    # the parent's stacked forecast and its error temporaries grew by about
+    # four copies of the forecast from T=5 to T=40
+    peaks = []
+    for n_steps in (5, 40):
+        model, ds = field_model_and_data(n_traj=4, n_steps=n_steps, grid=32)
+        peak, _ = peak_bytes(lambda: evaluate(model, ds, horizon=n_steps))
+        peaks.append(peak)
+    state_batch = ds.trajectories[:, 0].nbytes
+    assert abs(peaks[1] - peaks[0]) < state_batch
 
 
 def test_param_error_examples():
@@ -164,6 +206,10 @@ def test_evaluate_excludes_diverging_trajectories():
         rec = evaluate(model, ds, horizon=8)
     assert rec.excluded_trajectories == 1
     assert np.isfinite(rec.log_mse)
+    # the score is the survivor's alone, as if it had been the whole test set
+    survivor = evaluate(model, with_trajectories(ds, states[:1]), horizon=8)
+    assert survivor.excluded_trajectories == 0
+    assert rec.log_mse == survivor.log_mse
 
 
 def test_csv_and_json_round_trip(tmp_path):

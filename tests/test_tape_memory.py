@@ -43,15 +43,17 @@ def test_no_grad_convnet_pass_over_a_split_stays_near_three_activations():
     assert peak / (CONV_ACTIVATION / BATCH * batch) <= 3.5
 
 
-def test_convnet_backward_over_a_split_stays_within_five_and_a_half_activations():
+def test_convnet_backward_over_a_split_stays_within_four_and_a_half_activations():
     # the grad-mode |F_a|^2 term over a batch's states: the graph, the
     # gradients in flight and one bounded group of scratch per convolution
-    # product; a kernel gradient with batch-sized scratch peaks near 6.5
+    # product; a kernel gradient with batch-sized scratch peaks near 6.5, and
+    # a batch-norm x-gradient made in a new array rather than over the
+    # convolution's x-gradient near 5.1
     batch = 176
     net, _ = convnet_and_state()
     state = Tensor(np.random.default_rng(5).standard_normal((batch, 2, GRID, GRID)))
     peak, _ = peak_bytes(lambda: backward(dc.sum_all(dc.square(net(state)))))
-    assert peak / (CONV_ACTIVATION / BATCH * batch) <= 5.5
+    assert peak / (CONV_ACTIVATION / BATCH * batch) <= 4.5
 
 
 def test_mlp_forward_keeps_only_what_its_vjps_read():
