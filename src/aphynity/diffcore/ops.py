@@ -532,17 +532,19 @@ def _bn_vjp(gr: np.ndarray, xhat: np.ndarray, scale: np.ndarray, inv_std: np.nda
             out=None):
     """The x, scale and shift gradients of ``x̂ * scale + shift`` for an output
     gradient ``gr``, all on the (B, C, H*W) view: the standard batch-norm
-    gradient through the mean and the variance.  The x-gradient is built one
-    channel at a time, so ``out=gr`` overwrites ``gr`` with no batch-sized
-    temporary."""
+    gradient through the mean and the variance.  Its one temporary is made
+    in sample groups of at most ``_SCRATCH_BYTES``, so ``out=gr`` overwrites
+    ``gr`` with no batch-sized temporary."""
     n = gr.shape[0] * gr.shape[2]
     g_shift = np.einsum("bcn->c", gr)
     g_scale = np.einsum("bcn,bcn->c", gr, xhat)
     gx = np.empty_like(gr) if out is None else out
-    for ch in range(gr.shape[1]):
-        gc = np.subtract(gr[:, ch], xhat[:, ch] * (g_scale[ch] / n), out=gx[:, ch])
-        gc -= g_shift[ch] / n
-        gc *= scale[ch] * inv_std[ch]
+    group = max(1, _SCRATCH_BYTES // xhat[0].nbytes)
+    for lo in range(0, len(gr), group):
+        np.subtract(gr[lo:lo + group], xhat[lo:lo + group] * (g_scale / n)[:, None],
+                    out=gx[lo:lo + group])
+    gx -= (g_shift / n)[:, None]
+    gx *= (scale * inv_std)[:, None]
     return gx, g_scale, g_shift
 
 
