@@ -412,7 +412,7 @@ def field_config(tmp_path, system, dataset):
      "n_train must be a non-negative integer, got 1.5"),
     ("reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": "8", "horizon": 0.2},
      "grid must be a number, got '8'"),
-    # the train split alone would be valid, so this once failed after writing it
+    # only the valid split's size is bad: a split-by-split check would write train/ first
     ("reacdiff", {"n_train": 1, "n_valid": -1, "n_test": 1, "grid": 8, "horizon": 0.2},
      "n_valid must be a non-negative integer, got -1"),
     ("reacdiff", {"n_train": 1, "n_valid": 0, "n_test": True, "grid": 8, "horizon": 0.2},

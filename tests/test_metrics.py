@@ -81,8 +81,8 @@ def test_batched_and_one_by_one_scoring_agree_bit_for_bit():
 
 
 def test_evaluate_memory_does_not_grow_with_trajectory_length():
-    # the parent's stacked forecast and its error temporaries grew by about
-    # four copies of the forecast from T=5 to T=40
+    # a rollout that stacks the forecast and squares its error in full grows
+    # by several copies of the forecast from T=5 to T=40
     peaks = []
     for n_steps in (5, 40):
         model, ds = field_model_and_data(n_traj=4, n_steps=n_steps, grid=32)
