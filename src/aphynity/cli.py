@@ -131,11 +131,28 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("pendulum states are vectors; use the mlp augmentation")
     if system in ("reacdiff", "wave") and augmentation == "mlp":
         raise UsageError(f"{system} states are fields; use the convnet augmentation")
-    mode = cfg.get("mode", "aphynity")
+    init = cfg.get("physics_init")
+    if init is not None and not isinstance(init, dict):
+        raise UsageError(f"physics_init must be a JSON object, got {init!r}")
+    if init:
+        if physics == "none":
+            raise UsageError("physics_init is set, but physics is 'none'")
+        # the family owns its parameter names and floors
+        try:
+            make_family(system, _FAMILY_VARIANTS[(system, physics)], dx=1.0, init=init)
+        except ValueError as exc:
+            raise UsageError(f"bad physics_init: {exc}") from exc
+    seed = _check_seed(cfg.get("seed", 0), "seed")
     try:
-        TrainConfig(mode=mode, **cfg.get("train", {}))
+        TrainConfig(mode=cfg.get("mode", "aphynity"), seed=seed, **cfg.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad train section: {exc}") from exc
+
+
+def _check_seed(seed, what: str) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise UsageError(f"{what} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 _FAMILY_VARIANTS = {
@@ -197,7 +214,7 @@ class _partial_marker:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config, args.downscale)
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    seed = cfg.get("seed", 0) if args.seed is None else _check_seed(args.seed, "--seed")
     out = Path(args.out)
     splits = _generate_splits(cfg["system"], cfg.get("dataset", {}), seed)
     marker = _partial_marker(out)
@@ -315,9 +332,9 @@ def _parse_seeds(args, cfg) -> list[int]:
             raise UsageError(f"bad --seeds list: {args.seeds!r}") from exc
         if not seeds:
             raise UsageError(f"--seeds {args.seeds!r} lists no seed")
-        return seeds
+        return [_check_seed(seed, "each --seeds entry") for seed in seeds]
     if args.seed is not None:
-        return [args.seed]
+        return [_check_seed(args.seed, "--seed")]
     return [cfg.get("seed", 0)]
 
 

@@ -5,6 +5,10 @@ fixed-step training solver at the dataset resolution and scores base-10 log
 mean squared error over a fixed horizon, physical-parameter error
 percentages, and the residual norm over the training states.
 
+``squared_errors`` (a streamed no-grad rollout) and ``residual_norm_sq`` (a
+no-grad |F_a|^2 pass over a split) serve ``evaluate`` and the end of every
+``training.fit`` epoch alike.
+
 Pendulum frequency errors are reported on the period (``t0_period``) rather
 than on the squared pulsation, so "5% off" means 5% off the period.
 """
@@ -23,9 +27,9 @@ from . import diffcore as dc
 from .diffcore import Tensor
 from .integrators import BlowUpError, integrate
 from .models import AugmentedDynamics
-from .training import augmentation_norm_sq
 
-__all__ = ["MetricsRecord", "param_error_pct", "evaluate",
+__all__ = ["MetricsRecord", "param_error_pct", "augmentation_norm_sq",
+           "squared_errors", "residual_norm_sq", "evaluate",
            "write_metrics_csv", "write_metrics_json", "load_metrics_rows"]
 
 CSV_COLUMNS = [
@@ -141,8 +145,19 @@ def reported_params(values: dict[str, float]) -> dict[str, float]:
     return out
 
 
-def _squared_errors(model: AugmentedDynamics, truth: np.ndarray, horizon: int,
-                    dt: float) -> np.ndarray:
+def augmentation_norm_sq(augmentation, states: np.ndarray) -> Tensor:
+    """Sum of squared residual outputs over the given states and entries."""
+    return dc.sum_all(dc.square(augmentation(Tensor(states))))
+
+
+def residual_norm_sq(model: AugmentedDynamics, data) -> float:
+    """No-grad |F_a|^2 summed over every state of the split ``data``."""
+    with dc.no_grad():
+        return float(augmentation_norm_sq(model.augmentation, data.all_states()).values)
+
+
+def squared_errors(model: AugmentedDynamics, truth: np.ndarray, horizon: int,
+                   dt: float) -> np.ndarray:
     """Each trajectory's summed squared error over forecast steps 1..horizon.
 
     ``truth`` is (N, T+1, ...), rolled out from ``truth[:, 0]`` for all T
@@ -179,12 +194,12 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
         raise ValueError(f"horizon {horizon} outside 1..{test.n_steps}")
     truth = test.trajectories
     try:
-        sums = _squared_errors(model, truth, horizon, test.dt)
+        sums = squared_errors(model, truth, horizon, test.dt)
     except BlowUpError:
         sums = []
         for i in range(len(truth)):
             try:
-                sums.append(_squared_errors(model, truth[i:i + 1], horizon, test.dt))
+                sums.append(squared_errors(model, truth[i:i + 1], horizon, test.dt))
             except BlowUpError:
                 pass
         if not sums:
@@ -212,9 +227,7 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
     norm_val, norm_src = None, None
     if model.augmentation is not None:
         if train is not None:
-            with dc.no_grad():
-                norm_val = float(augmentation_norm_sq(
-                    model.augmentation, train.all_states()).values)
+            norm_val = residual_norm_sq(model, train)
             norm_src = "train_states"
         elif fa_norm_sq is not None:
             norm_val = float(fa_norm_sq)

@@ -18,6 +18,9 @@ The systems:
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from . import diffcore as dc
@@ -58,9 +61,12 @@ class ConstrainedParam:
         if not floor > 0:
             raise ValueError("floor must be positive")
         self.floor = float(floor)
+        if init is not None and (isinstance(init, bool) or not isinstance(init, numbers.Real)):
+            raise ValueError(f"{name}: initial value must be a number, got {init!r}")
         value = 2.0 * self.floor if init is None else float(init)
-        if value <= self.floor:
-            raise ValueError(f"{name}: initial value {value} must exceed floor {floor}")
+        if not (math.isfinite(value) and value > self.floor):
+            raise ValueError(f"{name}: initial value {value} must be finite and exceed "
+                             f"floor {floor}")
         self.raw = Tensor(softplus_inverse(value - self.floor), requires_grad=trainable)
 
     def tensor(self) -> Tensor:
@@ -110,6 +116,10 @@ class PhysicalFamily:
         if variant not in self.VARIANTS:
             raise ValueError(f"unknown physical family {self.system!r}/{variant!r}")
         init = init or {}
+        unknown = sorted(set(init) - set(self.VARIANTS[variant]))
+        if unknown:
+            raise ValueError(f"{self.system}/{variant} has no parameter {', '.join(unknown)}; "
+                             f"it trains {', '.join(self.VARIANTS[variant])}")
         self.variant = variant
         self.dx = None if dx is None else float(dx)
         self.params = ParamSet()

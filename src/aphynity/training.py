@@ -12,6 +12,10 @@ so only one of the two graphs is alive at a time.  Each parameter gets
 one |residual|^2 contribution, so its gradient equals that of the summed
 loss bit for bit.
 
+The epoch-end passes build no graph: the whole-split trajectory losses and
+|residual|^2 are ``metrics.squared_errors`` and ``metrics.residual_norm_sq``,
+the scorers ``evaluate`` uses, so a rollout holds one state batch at a time.
+
 Ablation modes:
 
 * ``vanilla``             - minimize the trajectory loss only;
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,11 +40,12 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ParamSet, Tensor
 from .integrators import BlowUpError, integrate
+from .metrics import augmentation_norm_sq, residual_norm_sq, squared_errors
 from .models import AugmentedDynamics
 
 __all__ = [
     "MODES", "TrainConfig", "EpochRecord", "TrainReport",
-    "trajectory_loss", "derivative_loss", "augmentation_norm_sq", "fit",
+    "trajectory_loss", "derivative_loss", "fit",
 ]
 
 log = logging.getLogger("aphynity.training")
@@ -65,10 +72,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.tau1 > 0:
-            raise ValueError("tau1 must be positive")
-        if self.tau2 < 0 or self.lambda0 < 0:
-            raise ValueError("tau2 and lambda0 must be non-negative")
+        for name, floor, optional in (("n_epochs", 1, False), ("n_iter", 1, False),
+                                      ("batch_size", 1, True), ("max_steps", 1, True),
+                                      ("patience", 0, True)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    optional and value is None
+                    or isinstance(value, numbers.Integral) and value >= floor):
+                raise ValueError(f"{name} must be {'null or ' if optional else ''}"
+                                 f"{'a positive' if floor else 'a non-negative'} integer, "
+                                 f"got {value!r}")
+        norm = self.max_grad_norm
+        if norm is not None and (isinstance(norm, bool) or
+                                 not (isinstance(norm, numbers.Real) and norm > 0)):
+            raise ValueError(f"max_grad_norm must be null or a positive number, "
+                             f"got {norm!r}")
+        if not 0 < self.tau1 < math.inf:
+            raise ValueError(f"tau1 must be positive and finite, got {self.tau1!r}")
+        if not (0 <= self.tau2 < math.inf and 0 <= self.lambda0 < math.inf):
+            raise ValueError("tau2 and lambda0 must be non-negative and finite")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lambda_eval not in ("full", "running"):
@@ -171,11 +193,6 @@ def derivative_loss(model: AugmentedDynamics, truth: np.ndarray, dt: float) -> T
     return dc.mean_all(dc.square(dc.sub(pred, targets)))
 
 
-def augmentation_norm_sq(augmentation, states: np.ndarray) -> Tensor:
-    """Sum of squared residual outputs over the given states and entries."""
-    return dc.sum_all(dc.square(augmentation(Tensor(states))))
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 
@@ -218,7 +235,7 @@ def _frozen_report(model, train, cfg, valid) -> TrainReport:
     started = time.perf_counter()
     report = TrainReport(mode=cfg.mode)
     cons = _eval_constraint(model, train, cfg.mode)
-    valid_loss = _eval_trajectory_loss(model, valid) if valid is not None else None
+    valid_loss = _split_mse(model, valid, float("inf")) if valid is not None else None
     report.records.append(EpochRecord(
         epoch=1, lam=cfg.lambda0, train_loss=cons, valid_loss=valid_loss,
         fa_norm_sq=None, params=model.physical_param_values(),
@@ -236,22 +253,20 @@ def _constraint_loss(model, batch, dt, mode):
     return trajectory_loss(pred, batch)
 
 
+def _split_mse(model, data, on_blow_up: float) -> float:
+    """The whole split's trajectory MSE, or ``on_blow_up`` if it blows up."""
+    try:
+        sums = squared_errors(model, data.trajectories, data.n_steps, data.dt)
+    except BlowUpError:
+        return on_blow_up
+    return float(sums.sum() / data.trajectories[:, 1:].size)
+
+
 def _eval_constraint(model, data, mode) -> float:
-    try:
-        with dc.no_grad():
-            return float(_constraint_loss(model, data.trajectories, data.dt, mode).values)
-    except BlowUpError:
-        return float("nan")
-
-
-def _eval_trajectory_loss(model, data) -> float:
-    try:
-        with dc.no_grad():
-            pred = integrate(model.rhs, Tensor(data.trajectories[:, 0]),
-                             data.n_steps, data.dt)
-            return float(trajectory_loss(pred, data.trajectories).values)
-    except BlowUpError:
-        return float("inf")
+    if mode != "derivative_supervision":
+        return _split_mse(model, data, float("nan"))
+    with dc.no_grad():
+        return float(derivative_loss(model, data.trajectories, data.dt).values)
 
 
 def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainReport:
@@ -261,7 +276,9 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
     anything exposing ``trajectories``, ``dt``, ``n_steps``,
     ``all_states()``).  Divergence (non-finite loss) aborts and is flagged on
     the report rather than raised.  When early stopping triggers, parameters
-    are restored to the best-validation epoch.
+    are restored to the best-validation epoch.  Each epoch ends with no-grad
+    passes through metrics' streamed scorer (the ``full`` constraint and the
+    validation loss) and its residual pass (|F_a|^2 over ``train``).
     """
     if len(model.params) == 0:
         if cfg.mode in ("vanilla", "derivative_supervision"):
@@ -341,12 +358,8 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
             cons_value = _eval_constraint(model, train, cfg.mode)
         else:
             cons_value = float(np.mean(running)) if running else np.nan
-        valid_loss = _eval_trajectory_loss(model, valid) if valid is not None else None
-        fa_norm = None
-        if model.augmentation is not None:
-            with dc.no_grad():
-                fa_norm = float(augmentation_norm_sq(
-                    model.augmentation, train.all_states()).values)
+        valid_loss = _split_mse(model, valid, float("inf")) if valid is not None else None
+        fa_norm = residual_norm_sq(model, train) if model.augmentation is not None else None
 
         report.records.append(EpochRecord(
             epoch=epoch, lam=lam, train_loss=cons_value, valid_loss=valid_loss,

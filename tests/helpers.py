@@ -11,7 +11,10 @@ import tracemalloc
 
 import numpy as np
 
+from aphynity.datagen import Dataset
 from aphynity.diffcore import Tensor, backward
+from aphynity.models import AugmentedDynamics
+from aphynity.physics import make_family
 
 
 def finite_difference_gradient(fn, tensors, h=1e-6):
@@ -166,3 +169,17 @@ def peak_bytes(fn):
         result = fn()
         peak = tracemalloc.get_traced_memory()[1] - before
     return peak, result
+
+
+def field_model_and_data(n_traj, n_steps, grid=16, seed=0):
+    """A frozen physics-only reaction-diffusion model and random fields.
+
+    With no batch norm in the model, each trajectory's forecast is the same
+    whatever batch it is rolled out in."""
+    fam = make_family("reacdiff", "abk", dx=1.0, init={"a": 0.1, "b": 0.2, "k": 0.01},
+                      trainable=False)
+    fields = np.random.default_rng(seed).uniform(size=(n_traj, n_steps + 1, 2, grid, grid))
+    ds = Dataset(system="reacdiff", split="test", dt=0.05, trajectories=fields,
+                 true_params={"a": 0.1}, noise_sigma=0.0, seed=seed,
+                 grid={"dx": 1.0, "bc": "periodic"})
+    return AugmentedDynamics(fam, None), ds

@@ -429,6 +429,81 @@ def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not (tmp_path / "data").exists()
 
 
+TINY_TRAIN = {"n_epochs": 30, "n_iter": 1, "tau1": 0.02, "optimizer": "adam",
+              "patience": None}
+
+
+@pytest.mark.parametrize("train,message", [
+    ({"n_epochs": 1.5}, "n_epochs must be a positive integer, got 1.5"),
+    ({"n_epochs": 0}, "n_epochs must be a positive integer, got 0"),
+    ({"n_iter": 0}, "n_iter must be a positive integer, got 0"),
+    ({"n_iter": True}, "n_iter must be a positive integer, got True"),
+    ({"batch_size": -1}, "batch_size must be null or a positive integer, got -1"),
+    ({"batch_size": 0}, "batch_size must be null or a positive integer, got 0"),
+    ({"max_steps": 0}, "max_steps must be null or a positive integer, got 0"),
+    ({"patience": -1}, "patience must be null or a non-negative integer, got -1"),
+    ({"patience": 2.0}, "patience must be null or a non-negative integer, got 2.0"),
+    ({"max_grad_norm": 0}, "max_grad_norm must be null or a positive number, got 0"),
+    ({"max_grad_norm": True}, "max_grad_norm must be null or a positive number, got True"),
+    ({"max_grad_norm": "1"}, "max_grad_norm must be null or a positive number, got '1'"),
+    ({"tau1": float("inf")}, "tau1 must be positive and finite, got inf"),
+    ({"tau2": float("nan")}, "tau2 and lambda0 must be non-negative and finite"),
+    # the seed is a top-level key; here it would clash with it
+    ({"seed": 1}, "multiple values for keyword argument 'seed'"),
+])
+def test_train_bad_train_value_exits_2_and_writes_nothing(tmp_path, capsys, train, message):
+    cfg = tiny_pendulum_config(tmp_path)
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    cfg = tiny_pendulum_config(tmp_path, train={**TINY_TRAIN, **train})
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("overrides,flags,message", [
+    ({"physics_init": [1.0]}, [], "physics_init must be a JSON object, got [1.0]"),
+    ({"physics_init": {"omega0_sq": -1.0}}, [],
+     "omega0_sq: initial value -1.0 must be finite and exceed floor"),
+    ({"physics_init": {"omega0_sq": 1e-4, "alpha": 0.1}}, [],
+     "omega0_sq: initial value 0.0001 must be finite and exceed floor"),
+    ({"physics_init": {"omega0_sq": "1"}}, [],
+     "omega0_sq: initial value must be a number, got '1'"),
+    ({"physics": "incomplete", "physics_init": {"omega0": 1.0}}, [],
+     "pendulum/omega0 has no parameter omega0; it trains omega0_sq"),
+    ({"physics": "incomplete"}, [], "pendulum/omega0 has no parameter alpha"),
+    ({"physics": "none", "augmentation": "mlp"}, [],
+     "physics_init is set, but physics is 'none'"),
+    ({"seed": "a"}, [], "seed must be a non-negative integer, got 'a'"),
+    ({"seed": True}, [], "seed must be a non-negative integer, got True"),
+    ({}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ({}, ["--seeds", "0,-1"], "each --seeds entry must be a non-negative integer, got -1"),
+])
+def test_train_bad_physics_init_or_seed_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                  overrides, flags, message):
+    cfg = tiny_pendulum_config(tmp_path)
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    cfg = tiny_pendulum_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run"), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("overrides,flags,message", [
+    ({}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ({"seed": -1}, [], "seed must be a non-negative integer, got -1"),
+])
+def test_generate_bad_seed_exits_2_and_writes_nothing(tmp_path, capsys, overrides, flags,
+                                                      message):
+    cfg = tiny_pendulum_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data"),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "dataset" not in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, capsys):
     cfg = field_config(tmp_path, "wave", {"n_train": 1, "n_valid": 0, "n_test": 1,
                                           "grid": 8, "c": 100000.0, "n_steps": 200})

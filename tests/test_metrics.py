@@ -1,32 +1,26 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aphynity
 import aphynity.diffcore as dc
 from aphynity.augments import MlpAugmentation, MlpSpec
 from aphynity.datagen import Dataset, gen_pendulum
 from aphynity.diffcore import Tensor
 from aphynity.integrators import integrate
 from aphynity.metrics import (
-    MetricsRecord, _squared_errors, evaluate, load_metrics_rows, param_error_pct,
-    reported_params, write_metrics_csv, write_metrics_json,
+    MetricsRecord, evaluate, load_metrics_rows, param_error_pct, reported_params,
+    squared_errors, write_metrics_csv, write_metrics_json,
 )
 from aphynity.models import AugmentedDynamics
 from aphynity.physics import make_family
 
-from helpers import peak_bytes
-
-
-def field_model_and_data(n_traj, n_steps, grid=16, seed=0):
-    """A physics-only reaction-diffusion model and random test fields."""
-    fam = make_family("reacdiff", "abk", dx=1.0, init={"a": 0.1, "b": 0.2, "k": 0.01},
-                      trainable=False)
-    fields = np.random.default_rng(seed).uniform(size=(n_traj, n_steps + 1, 2, grid, grid))
-    ds = Dataset(system="reacdiff", split="test", dt=0.05, trajectories=fields,
-                 true_params={"a": 0.1}, noise_sigma=0.0, seed=seed,
-                 grid={"dx": 1.0, "bc": "periodic"})
-    return AugmentedDynamics(fam, None), ds
+from helpers import field_model_and_data, peak_bytes
 
 
 def forecast(model, ds):
@@ -75,8 +69,8 @@ def test_batched_and_one_by_one_scoring_agree_bit_for_bit():
     # with no batch norm in the model, a trajectory's forecast and its
     # squared-error sum do not depend on the batch it is scored in
     model, ds = field_model_and_data(n_traj=4, n_steps=5)
-    batched = _squared_errors(model, ds.trajectories, 4, ds.dt)
-    alone = [_squared_errors(model, ds.trajectories[i:i + 1], 4, ds.dt)[0] for i in range(4)]
+    batched = squared_errors(model, ds.trajectories, 4, ds.dt)
+    alone = [squared_errors(model, ds.trajectories[i:i + 1], 4, ds.dt)[0] for i in range(4)]
     assert np.array_equal(batched, alone)
 
 
@@ -90,6 +84,15 @@ def test_evaluate_memory_does_not_grow_with_trajectory_length():
         peaks.append(peak)
     state_batch = ds.trajectories[:, 0].nbytes
     assert abs(peaks[1] - peaks[0]) < state_batch
+
+
+def test_metrics_does_not_import_training():
+    # training scores its epochs through metrics, so the import runs one way
+    src = Path(aphynity.__file__).parent.parent
+    code = "import sys, aphynity.metrics; print('aphynity.training' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_param_error_examples():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -9,13 +11,12 @@ from aphynity.datagen import Dataset, gen_pendulum, gen_reacdiff
 from aphynity.diffcore import ParamSet, Tensor, backward
 from aphynity.diffcore.tensor import grad_enabled
 from aphynity.integrators import integrate
+from aphynity.metrics import augmentation_norm_sq, evaluate
 from aphynity.models import AugmentedDynamics
 from aphynity.physics import make_family
-from aphynity.training import (
-    TrainConfig, augmentation_norm_sq, derivative_loss, fit, trajectory_loss,
-)
+from aphynity.training import TrainConfig, derivative_loss, fit, trajectory_loss
 
-from helpers import numpy_buffer_bytes, retained_bytes
+from helpers import field_model_and_data, numpy_buffer_bytes, peak_bytes, retained_bytes
 
 
 class ScalarLinearFamily:
@@ -288,6 +289,27 @@ def test_final_fa_norm_sq_equals_a_fresh_norm_pass(stop):
     with dc.no_grad():
         fresh = float(augmentation_norm_sq(model.augmentation, data.all_states()).values)
     assert report.final_fa_norm_sq == fresh
+
+
+def test_epoch_end_constraint_memory_does_not_grow_with_trajectory_length():
+    # the whole-split constraint streams its rollout: keeping every state
+    # would grow by 35 state batches from T=5 to T=40
+    peaks = []
+    for n_steps in (5, 40):
+        model, data = field_model_and_data(n_traj=4, n_steps=n_steps, grid=32)
+        peak, _ = peak_bytes(lambda: training._eval_constraint(model, data, "aphynity"))
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < data.trajectories[:, 0].nbytes
+
+
+def test_fit_validation_loss_is_evaluates_score_bit_for_bit():
+    # a frozen model is only scored: its validation loss must be the mean
+    # squared error evaluate reports over the full horizon
+    model, train = field_model_and_data(n_traj=3, n_steps=4, grid=8, seed=1)
+    _, valid = field_model_and_data(n_traj=2, n_steps=5, grid=8, seed=2)
+    report = fit(model, train, TrainConfig(mode="aphynity"), valid=valid)
+    assert math.log10(report.records[0].valid_loss) == \
+        evaluate(model, valid, valid.n_steps).log_mse
 
 
 def small_reacdiff_model_and_data():
