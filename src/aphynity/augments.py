@@ -114,13 +114,13 @@ class ConvNetAugmentation:
         return dc.conv2d(h, k2, self._bias, padding=pad, norm=norm1)
 
 
+_KINDS = {"mlp": (MlpSpec, MlpAugmentation), "convnet": (ConvNetSpec, ConvNetAugmentation)}
+
+
 def make_augmentation(spec_dict: dict, seed: int = 0):
     """Build an augmentation from its serialized spec."""
     kind = spec_dict.get("kind")
-    if kind == "mlp":
-        spec = MlpSpec(**{k: v for k, v in spec_dict.items() if k != "kind"})
-        return MlpAugmentation(spec, seed=seed)
-    if kind == "convnet":
-        spec = ConvNetSpec(**{k: v for k, v in spec_dict.items() if k != "kind"})
-        return ConvNetAugmentation(spec, seed=seed)
-    raise ValueError(f"unknown augmentation kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown augmentation kind {kind!r}")
+    spec_cls, net_cls = _KINDS[kind]
+    return net_cls(spec_cls(**{k: v for k, v in spec_dict.items() if k != "kind"}), seed=seed)

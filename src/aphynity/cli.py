@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import csv
 import json
 import logging
 import math
@@ -63,6 +64,12 @@ def builtin_config_dir() -> Path:
     return Path(__file__).parent / "configs"
 
 
+# Every top-level config key but ``system`` and ``downscale``, with the default
+# that load_config fills in.
+CONFIG_DEFAULTS = {"name": None, "seed": 0, "mode": "aphynity", "physics": "none",
+                   "augmentation": "none", "physics_init": None, "dataset": {}, "train": {}}
+
+
 def load_config(path, downscale: bool = False) -> dict:
     path = Path(path)
     if not path.exists():
@@ -75,16 +82,24 @@ def load_config(path, downscale: bool = False) -> dict:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError("the config must be a JSON object")
     if downscale:
         overrides = cfg.get("downscale")
         if not overrides:
             raise UsageError("config has no downscale section")
+        if not isinstance(overrides, dict):
+            raise UsageError(f"the downscale section must be a JSON object, got {overrides!r}")
         cfg = copy.deepcopy(cfg)
         for section, values in overrides.items():
-            if isinstance(values, dict):
-                cfg.setdefault(section, {}).update(values)
-            else:
+            if not isinstance(values, dict):
                 cfg[section] = values
+            elif isinstance(cfg.setdefault(section, {}), dict):
+                cfg[section].update(values)
+            else:
+                raise UsageError(f"downscale sets keys of the {section} section, "
+                                 f"which is not a JSON object")
+    cfg = {**copy.deepcopy(CONFIG_DEFAULTS), **cfg}
     validate_config(cfg)
     return cfg
 
@@ -105,7 +120,7 @@ def validate_config(cfg: dict) -> None:
     system = cfg.get("system")
     if system not in DATASET_DEFAULTS:
         raise UsageError(f"unknown system {system!r}")
-    ds_cfg = cfg.get("dataset", {})
+    ds_cfg = cfg["dataset"]
     if not isinstance(ds_cfg, dict):
         raise UsageError("the dataset section must be a JSON object")
     unknown = sorted(set(ds_cfg) - set(DATASET_DEFAULTS[system]))
@@ -119,10 +134,10 @@ def validate_config(cfg: dict) -> None:
                 not (isinstance(value, int) and value >= 0):
             raise UsageError(f"{system} dataset {key} must be a non-negative integer, "
                              f"got {value!r}")
-    physics = cfg.get("physics", "none")
+    physics = cfg["physics"]
     if physics not in ("none", "incomplete", "complete", "true"):
         raise UsageError(f"unknown physics level {physics!r}")
-    augmentation = cfg.get("augmentation", "none")
+    augmentation = cfg["augmentation"]
     if augmentation not in ("none", "mlp", "convnet"):
         raise UsageError(f"unknown augmentation {augmentation!r}")
     if physics == "none" and augmentation == "none":
@@ -131,7 +146,7 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("pendulum states are vectors; use the mlp augmentation")
     if system in ("reacdiff", "wave") and augmentation == "mlp":
         raise UsageError(f"{system} states are fields; use the convnet augmentation")
-    init = cfg.get("physics_init")
+    init = cfg["physics_init"]
     if init is not None and not isinstance(init, dict):
         raise UsageError(f"physics_init must be a JSON object, got {init!r}")
     if init:
@@ -142,9 +157,9 @@ def validate_config(cfg: dict) -> None:
             make_family(system, _FAMILY_VARIANTS[(system, physics)], dx=1.0, init=init)
         except ValueError as exc:
             raise UsageError(f"bad physics_init: {exc}") from exc
-    seed = _check_seed(cfg.get("seed", 0), "seed")
+    seed = _check_seed(cfg["seed"], "seed")
     try:
-        TrainConfig(mode=cfg.get("mode", "aphynity"), seed=seed, **cfg.get("train", {}))
+        TrainConfig(mode=cfg["mode"], seed=seed, **cfg["train"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad train section: {exc}") from exc
 
@@ -170,7 +185,7 @@ _FAMILY_VARIANTS = {
 
 def build_model(cfg: dict, train_ds: Dataset, seed: int) -> AugmentedDynamics:
     system = cfg["system"]
-    physics_level = cfg.get("physics", "none")
+    physics_level = cfg["physics"]
     physical = None
     if physics_level != "none":
         variant = _FAMILY_VARIANTS[(system, physics_level)]
@@ -179,10 +194,10 @@ def build_model(cfg: dict, train_ds: Dataset, seed: int) -> AugmentedDynamics:
             init = {k: v for k, v in train_ds.true_params.items() if k != "t0_period"}
             physical = make_family(system, variant, dx=dx, init=init, trainable=False)
         else:
-            init = cfg.get("physics_init") or None
+            init = cfg["physics_init"] or None
             physical = make_family(system, variant, dx=dx, init=init)
     augmentation = None
-    aug_kind = cfg.get("augmentation", "none")
+    aug_kind = cfg["augmentation"]
     if aug_kind == "mlp":
         augmentation = MlpAugmentation(MlpSpec(), seed=seed)
     elif aug_kind == "convnet":
@@ -191,22 +206,13 @@ def build_model(cfg: dict, train_ds: Dataset, seed: int) -> AugmentedDynamics:
     return AugmentedDynamics(physical, augmentation)
 
 
-# ---------------------------------------------------------------------------
-# partial-output markers
-
-class _partial_marker:
-    def __init__(self, out_dir: Path):
-        self.path = Path(out_dir) / ".partial"
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.touch()
-        return self
-
-    def __exit__(self, exc_type, *_):
-        if exc_type is None and self.path.exists():
-            self.path.unlink()
-        return False
+def _mark_partial(out_dir: Path) -> Path:
+    """Create ``out_dir/.partial`` and return it; a command unlinks it once
+    its output is complete, so a failed or diverged run keeps it."""
+    marker = Path(out_dir) / ".partial"
+    marker.parent.mkdir(parents=True, exist_ok=True)
+    marker.touch()
+    return marker
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +220,25 @@ class _partial_marker:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config, args.downscale)
-    seed = cfg.get("seed", 0) if args.seed is None else _check_seed(args.seed, "--seed")
+    seed = cfg["seed"] if args.seed is None else _check_seed(args.seed, "--seed")
     out = Path(args.out)
-    splits = _generate_splits(cfg["system"], cfg.get("dataset", {}), seed)
-    marker = _partial_marker(out)
+    marker = None
     try:
         # the splits give their generator the same arguments but their sizes,
         # which validate_config checked, so a bad value fails the first split
-        # before anything is written
-        pending = next(splits, None)
-        marker.__enter__()
-        while pending is not None:
-            split, ds = pending
+        # before anything is written; each split is marked before it is saved
+        for split, ds in _generate_splits(cfg["system"], cfg["dataset"], seed):
+            marker = _mark_partial(out)
             save_dataset(ds, out / split)
             log.info("%s: wrote %d trajectories of %d steps to %s",
                      split, ds.n_traj, ds.n_steps, out / split)
-            pending = next(splits, None)
     except (BlowUpError, StepUnderflowError) as exc:
-        marker.__enter__()
+        _mark_partial(out)
         print(f"error: the simulation diverged ({exc}); partial output kept in {out}",
               file=sys.stderr)
         return EXIT_DIVERGED
-    marker.__exit__(None, None, None)
+    if marker is not None:
+        marker.unlink()
     return EXIT_OK
 
 
@@ -276,21 +279,20 @@ def _train_one_seed(cfg: dict, data_dir: Path, out_dir: Path, seed: int) -> int:
     valid_path = data_dir / "valid"
     valid_ds = load_dataset(valid_path) if (valid_path / "meta.json").exists() else None
     model = build_model(cfg, train_ds, seed)
-    tc = TrainConfig(mode=cfg.get("mode", "aphynity"), seed=seed, **cfg.get("train", {}))
-    marker = _partial_marker(out_dir)
-    marker.__enter__()
+    tc = TrainConfig(mode=cfg["mode"], seed=seed, **cfg["train"])
+    marker = _mark_partial(out_dir)
     report = fit(model, train_ds, tc, valid=valid_ds)
     report.save(out_dir)
     save_checkpoint(model, out_dir / "checkpoint", extra={
-        "config_name": cfg.get("name"), "mode": tc.mode, "seed": seed,
-        "system": cfg["system"], "physics_level": cfg.get("physics", "none"),
+        "config_name": cfg["name"], "mode": tc.mode, "seed": seed,
+        "system": cfg["system"], "physics_level": cfg["physics"],
         "fa_norm_sq": report.final_fa_norm_sq,
         "dataset_dt": train_ds.dt,
     })
     if not report.diverged:
         # a diverged run keeps its .partial marker: the artifacts are a
         # salvaged prefix of the intended training, not a finished run
-        marker.__exit__(None, None, None)
+        marker.unlink()
     last = report.records[-1] if report.records else None
     print(f"[seed {seed}] mode={tc.mode} epochs={len(report.records)} "
           f"steps={report.total_steps} lambda={report.final_lambda:.6g} "
@@ -310,18 +312,18 @@ def cmd_train(args) -> int:
         raise UsageError(f"no training dataset under {data_dir}")
     seeds = _parse_seeds(args, cfg)
     out = Path(args.out)
-    if len(seeds) == 1:
-        return _train_one_seed(cfg, data_dir, out, seeds[0])
-    jobs = {seed: out / f"seed-{seed}" for seed in seeds}
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {seed: pool.submit(_train_one_seed, cfg, data_dir, path, seed)
-                       for seed, path in jobs.items()}
-            codes = [f.result() for f in futures.values()]
-    else:
-        codes = [_train_one_seed(cfg, data_dir, path, seed)
-                 for seed, path in jobs.items()]
-    return max(codes)
+    # one seed trains into --out, several into one seed-<n>/ directory each
+    jobs = [(cfg, data_dir, out if len(seeds) == 1 else out / f"seed-{seed}", seed)
+            for seed in seeds]
+    if args.parallel > 1 and len(jobs) > 1:
+        # spawned, not forked: the parent may hold BLAS threads.  Imported
+        # here, since importing multiprocessing costs every command memory
+        import multiprocessing
+
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(args.parallel, mp_context=spawn) as pool:
+            return max(pool.map(_train_one_seed, *zip(*jobs)))
+    return max(_train_one_seed(*job) for job in jobs)
 
 
 def _parse_seeds(args, cfg) -> list[int]:
@@ -332,10 +334,14 @@ def _parse_seeds(args, cfg) -> list[int]:
             raise UsageError(f"bad --seeds list: {args.seeds!r}") from exc
         if not seeds:
             raise UsageError(f"--seeds {args.seeds!r} lists no seed")
-        return [_check_seed(seed, "each --seeds entry") for seed in seeds]
+        for i, seed in enumerate(seeds):
+            _check_seed(seed, "each --seeds entry")
+            if seed in seeds[:i]:
+                raise UsageError(f"--seeds lists seed {seed} twice")
+        return seeds
     if args.seed is not None:
         return [_check_seed(args.seed, "--seed")]
-    return [cfg.get("seed", 0)]
+    return [cfg["seed"]]
 
 
 def cmd_evaluate(args) -> int:
@@ -358,9 +364,10 @@ def cmd_evaluate(args) -> int:
         print(f"error: every test trajectory diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     out = Path(args.out)
-    with _partial_marker(out):
-        write_metrics_csv([record], out / "metrics.csv")
-        write_metrics_json([record], out / "metrics.json")
+    marker = _mark_partial(out)
+    write_metrics_csv([record], out / "metrics.csv")
+    write_metrics_json([record], out / "metrics.json")
+    marker.unlink()
     print(f"log_mse={record.log_mse:.4f} "
           f"param_err_avg_pct={record.param_err_avg_pct if record.param_err_avg_pct is not None else 'n/a'} "
           f"fa_norm_sq={record.fa_norm_sq if record.fa_norm_sq is not None else 'n/a'} "
@@ -390,6 +397,11 @@ def _check_compatibility(model: AugmentedDynamics, ds: Dataset) -> None:
             raise UsageError("channel count differs from checkpoint")
 
 
+# The report's metric columns and their headings in report.txt.
+REPORT_METRICS = (("log_mse", "log MSE"), ("param_err_avg_pct", "%Err param"),
+                  ("fa_norm_sq", "|Fa|^2"))
+
+
 def cmd_report(args) -> int:
     results = Path(args.results)
     rows = []
@@ -410,48 +422,37 @@ def cmd_report(args) -> int:
         std = float(np.std(nums, ddof=1)) if len(nums) > 1 else 0.0
         return repr(mean), repr(std)
 
-    out = Path(args.out)
-    lines = []
-    table_rows = []
-    for (system, method, mode), members in sorted(groups.items()):
-        lm, lm_std = agg([m["log_mse"] for m in members])
-        pe, pe_std = agg([m["param_err_avg_pct"] for m in members])
-        fa, fa_std = agg([m["fa_norm_sq"] for m in members])
-        table_rows.append({
-            "system": system, "method": method, "mode": mode,
-            "n_seeds": len(members), "log_mse_mean": lm, "log_mse_std": lm_std,
-            "param_err_avg_pct_mean": pe, "param_err_avg_pct_std": pe_std,
-            "fa_norm_sq_mean": fa, "fa_norm_sq_std": fa_std,
-        })
-
     def cell(mean, std):
         if mean == "n/a":
             return "n/a"
         return f"{float(mean):.4g} ± {float(std):.2g}"
 
+    table_rows = []
+    lines = []
     current_system = None
-    for row in table_rows:
-        if row["system"] != current_system:
-            current_system = row["system"]
-            lines.append(f"== {current_system} ==")
-            lines.append(f"{'method':42s} {'mode':24s} {'log MSE':>18s} "
-                         f"{'%Err param':>18s} {'|Fa|^2':>18s}")
-        lines.append(
-            f"{row['method']:42s} {row['mode']:24s} "
-            f"{cell(row['log_mse_mean'], row['log_mse_std']):>18s} "
-            f"{cell(row['param_err_avg_pct_mean'], row['param_err_avg_pct_std']):>18s} "
-            f"{cell(row['fa_norm_sq_mean'], row['fa_norm_sq_std']):>18s}")
+    for (system, method, mode), members in sorted(groups.items()):
+        row = {"system": system, "method": method, "mode": mode, "n_seeds": len(members)}
+        for name, _ in REPORT_METRICS:
+            row[f"{name}_mean"], row[f"{name}_std"] = agg([m[name] for m in members])
+        table_rows.append(row)
+        if system != current_system:
+            current_system = system
+            lines.append(f"== {system} ==")
+            lines.append(f"{'method':42s} {'mode':24s} "
+                         + " ".join(f"{heading:>18s}" for _, heading in REPORT_METRICS))
+        lines.append(f"{method:42s} {mode:24s} " + " ".join(
+            f"{cell(row[f'{name}_mean'], row[f'{name}_std']):>18s}"
+            for name, _ in REPORT_METRICS))
     text = "\n".join(lines) + "\n"
 
-    with _partial_marker(out):
-        import csv as _csv
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(table_rows[0]),
-                                     lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(table_rows)
-        (out / "report.txt").write_text(text)
+    out = Path(args.out)
+    marker = _mark_partial(out)
+    with open(out / "report.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(table_rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(table_rows)
+    (out / "report.txt").write_text(text)
+    marker.unlink()
     print(text, end="")
     return EXIT_OK
 

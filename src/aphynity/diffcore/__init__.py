@@ -2,15 +2,7 @@
 
 from .tensor import Tensor, backward, no_grad
 from .params import ParamSet
-from .ops import (
-    add, sub, mul, smul, affine, relu, sin, square, sqrt, softplus,
-    sum_all, mean_all, narrow, concat, reshape, pad2d, conv2d,
-    batchnorm2d, laplacian,
-)
+from . import ops
+from .ops import *  # noqa: F401,F403 -- the ops are ops.__all__
 
-__all__ = [
-    "Tensor", "ParamSet", "backward", "no_grad",
-    "add", "sub", "mul", "smul", "affine", "relu", "sin", "square", "sqrt",
-    "softplus", "sum_all", "mean_all", "narrow", "concat", "reshape",
-    "pad2d", "conv2d", "batchnorm2d", "laplacian",
-]
+__all__ = ["Tensor", "ParamSet", "backward", "no_grad", *ops.__all__]

@@ -219,18 +219,17 @@ def reshape(x, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # Padding and 2-D convolution (3x3 kernels, stride 1)
 
-_PAD_MODES = ("zero", "circular")
-
-
 def pad_boundary(field: np.ndarray, bc: str, width: int = 1, out=None) -> np.ndarray:
     """Ghost cells on the last two axes of an array: a wrap for "periodic",
-    edge replication for "neumann_zero"; written into ``out`` if given.
+    edge replication for "neumann_zero", zeros for "zero"; written into
+    ``out`` if given.
 
-    The result equals ``np.pad`` with mode "wrap" or "edge" bit for bit; it is
-    built from slice copies, which avoids ``np.pad``'s fixed per-call cost.
-    Both axes must be at least ``width`` long (a wider wrap would repeat).
+    The result equals ``np.pad`` with mode "wrap", "edge" or "constant" bit
+    for bit; it is built from slice copies, which avoids ``np.pad``'s fixed
+    per-call cost.  Both axes must be at least ``width`` long (a wider wrap
+    would repeat).
     """
-    if bc not in ("periodic", "neumann_zero"):
+    if bc not in ("periodic", "neumann_zero", "zero"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     h, w = field.shape[-2:]
     p = width
@@ -244,12 +243,25 @@ def pad_boundary(field: np.ndarray, bc: str, width: int = 1, out=None) -> np.nda
         out[..., p:-p, -p:] = field[..., :, :p]
         out[..., :p, :] = out[..., h:h + p, :]
         out[..., -p:, :] = out[..., p:2 * p, :]
-    else:
+    elif bc == "neumann_zero":
         out[..., p:-p, :p] = field[..., :, :1]
         out[..., p:-p, -p:] = field[..., :, -1:]
         out[..., :p, :] = out[..., p:p + 1, :]
         out[..., -p:, :] = out[..., -p - 1:-p, :]
+    else:
+        out[..., p:-p, :p] = out[..., p:-p, -p:] = 0.0
+        out[..., :p, :] = out[..., -p:, :] = 0.0
     return out
+
+
+# conv2d's padding modes, each as the pad_boundary rule that makes it
+_PADDING_RULES = {"zero": "zero", "circular": "periodic"}
+
+
+def _padding_rule(mode: str) -> str:
+    if mode not in _PADDING_RULES:
+        raise ValueError(f"unknown padding mode {mode!r}")
+    return _PADDING_RULES[mode]
 
 
 def _pad_fold(g: np.ndarray, mode: str) -> np.ndarray:
@@ -263,28 +275,13 @@ def _pad_fold(g: np.ndarray, mode: str) -> np.ndarray:
     return np.ascontiguousarray(g[:, :, 1:-1, 1:-1])
 
 
-def _pad(xv: np.ndarray, mode: str, out=None) -> np.ndarray:
-    """1-pixel padding of a (B, C, H, W) array, zeros or a circular wrap, in
-    ``out`` if given."""
-    if mode not in _PAD_MODES:
-        raise ValueError(f"unknown padding mode {mode!r}")
-    if mode == "circular":
-        return pad_boundary(xv, "periodic", out=out)
-    b, c, h, w = xv.shape
-    if out is None:
-        out = np.empty((b, c, h + 2, w + 2))
-    out[:, :, 1:-1, 1:-1] = xv
-    out[:, :, ::h + 1, :] = 0.0      # first and last row
-    out[:, :, 1:-1, ::w + 1] = 0.0   # first and last column
-    return out
-
-
 def pad2d(x, mode: str) -> Tensor:
     """1-pixel spatial padding of a (B, C, H, W) tensor: zeros or a circular wrap."""
     x = _wrap(x)
     if x.values.ndim != 4:
         raise ValueError("pad2d expects a (B, C, H, W) tensor")
-    return _node(_pad(x.values, mode), [(x, lambda g: _pad_fold(g, mode))])
+    return _node(pad_boundary(x.values, _padding_rule(mode)),
+                 [(x, lambda g: _pad_fold(g, mode))])
 
 
 def _taps(h: int, w: int):
@@ -300,8 +297,8 @@ _SCRATCH_BYTES = 1 << 20
 
 
 def _groups(x: np.ndarray, mode: str, *sample_shapes):
-    """Run a (B, C, H, W) array in groups of samples, each padded as in
-    :func:`_pad` into one reused scratch block.
+    """Run a (B, C, H, W) array in groups of samples, each padded by ``mode``
+    (see :func:`pad2d`) into one reused scratch block.
 
     Yields ``(lo, rows, *buffers)`` per group: its first sample, its padded
     input as flat (n, C, (H+2) * (W+2)) rows and one (n, *shape) buffer per
@@ -309,6 +306,7 @@ def _groups(x: np.ndarray, mode: str, *sample_shapes):
     the larger of ``_SCRATCH_BYTES`` and one sample's scratch; a sample needs
     more than the budget at 64x64, so such grids run in groups of one.
     """
+    bc = _padding_rule(mode)
     b, c, h, w = x.shape
     shapes = [(c, (h + 2) * (w + 2)), *sample_shapes]
     sizes = [math.prod(shape) for shape in shapes]
@@ -322,14 +320,14 @@ def _groups(x: np.ndarray, mode: str, *sample_shapes):
                       for shape, size, end in zip(shapes, sizes, ends)]
     for lo in range(0, b, group):
         n = min(group, b - lo)
-        _pad(x[lo:lo + n], mode, out=rows[:n].reshape(n, c, h + 2, w + 2))
+        pad_boundary(x[lo:lo + n], bc, out=rows[:n].reshape(n, c, h + 2, w + 2))
         yield lo, rows[:n], *(buf[:n] for buf in scratch)
 
 
 def _correlate3x3(x: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
     """Same-padded 3x3 correlation of a (B, c_in, H, W) array with a
     (c_out, c_in, 3, 3) kernel, as shifted matmuls on the flat rows of the
-    padded input (see :func:`_taps`); ``mode`` is the padding, as in :func:`_pad`.
+    padded input (see :func:`_taps`); ``mode`` is the padding, as in :func:`pad2d`.
 
     The grouping of the taps is read off the shapes.  One matmul per tap has
     an inner dimension of only ``c_in`` and writes or updates the

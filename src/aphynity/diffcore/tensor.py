@@ -136,9 +136,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
 
-    def backward(self, seed: float = 1.0) -> None:
-        backward(self, seed)
-
     # Operator sugar delegates to the op module; imported lazily to avoid
     # a circular import at package load time.
     def __add__(self, other):
@@ -202,7 +199,7 @@ def _toposort(start) -> list:
     return order
 
 
-def backward(root: Tensor, seed: float = 1.0) -> None:
+def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into ``leaf.grad`` for every reachable leaf.
 
     The root must be scalar.  Interior gradients live only transiently; leaf
@@ -215,7 +212,7 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
         return
     start = root._graph_node()
     order = _toposort(start)
-    inflight: dict[int, np.ndarray] = {id(start): np.asarray(float(seed))}
+    inflight: dict[int, np.ndarray] = {id(start): np.asarray(1.0)}
     for node in reversed(order):
         # every node is reachable from the root, so its gradient has arrived
         g = inflight.pop(id(node))

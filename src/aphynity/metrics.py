@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,41 +58,16 @@ class MetricsRecord:
     estimated_params: dict[str, float] = field(default_factory=dict)
 
     def to_row(self) -> dict:
+        """The ``CSV_COLUMNS`` cells: ``None`` reads "n/a", a float its repr,
+        and ``param_err_detail`` the errors as JSON at 6 significant digits."""
         detail = json.dumps(
             {k: _round_sig(v) for k, v in sorted(self.param_err_pct.items())},
-            sort_keys=True) if self.param_err_pct else "n/a"
-        return {
-            "run_id": self.run_id,
-            "system": self.system,
-            "method": self.method,
-            "physics": self.physics or "n/a",
-            "augmentation": self.augmentation or "n/a",
-            "mode": self.mode,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "log_mse": _fmt(self.log_mse),
-            "param_err_avg_pct": _fmt(self.param_err_avg_pct),
-            "param_err_detail": detail,
-            "fa_norm_sq": _fmt(self.fa_norm_sq),
-            "fa_norm_source": self.fa_norm_source or "n/a",
-            "excluded_trajectories": self.excluded_trajectories,
-        }
+            sort_keys=True) if self.param_err_pct else None
+        return {col: _fmt(detail if col == "param_err_detail" else getattr(self, col))
+                for col in CSV_COLUMNS}
 
     def to_json_dict(self) -> dict:
-        d = {
-            "run_id": self.run_id, "system": self.system, "method": self.method,
-            "physics": self.physics, "augmentation": self.augmentation,
-            "mode": self.mode, "seed": self.seed, "horizon": self.horizon,
-            "log_mse": _json_float(self.log_mse),
-            "param_err_pct": {k: _json_float(v) for k, v in self.param_err_pct.items()},
-            "param_err_avg_pct": _json_float(self.param_err_avg_pct),
-            "fa_norm_sq": _json_float(self.fa_norm_sq),
-            "fa_norm_source": self.fa_norm_source,
-            "excluded_trajectories": self.excluded_trajectories,
-            "estimated_params": {k: _json_float(v)
-                                 for k, v in self.estimated_params.items()},
-        }
-        return d
+        return _json_value(asdict(self))
 
 
 def _round_sig(x: float, digits: int = 6) -> float:
@@ -101,24 +76,21 @@ def _round_sig(x: float, digits: int = 6) -> float:
     return round(x, digits - 1 - int(math.floor(math.log10(abs(x)))))
 
 
-def _fmt(x) -> str:
+def _fmt(x):
+    """A CSV cell: "n/a" for ``None``, the repr of a float, else ``x``."""
     if x is None:
         return "n/a"
-    x = float(x)
-    if x == float("-inf"):
-        return "-inf"
-    if x == float("inf"):
-        return "inf"
-    return repr(x)
+    return repr(float(x)) if isinstance(x, float) else x
 
 
-def _json_float(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isfinite(x):
+def _json_value(x):
+    """``x`` for ``json.dumps``, with a non-finite float written as "inf",
+    "-inf" or "nan", also inside a dict."""
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if not isinstance(x, float):
         return x
-    return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
+    return float(x) if math.isfinite(x) else {math.inf: "inf", -math.inf: "-inf"}.get(x, "nan")
 
 
 def param_error_pct(estimated: dict[str, float],
@@ -186,9 +158,10 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
     mean squared error over steps 1..horizon, ``-inf`` for a perfect forecast.
     Scoring streams: each step is scored as it is made, so besides the test
     data evaluation holds one state batch and one model pass's scratch,
-    whatever the trajectory length.  The residual norm is computed over
-    ``train``'s states when given, else taken from ``fa_norm_sq`` (a value
-    recorded at train time), else left unset.
+    whatever the trajectory length.  A parameter whose true value is 0 has
+    no percentage error and is left out of the average.  The residual norm
+    is computed over ``train``'s states when given, else taken from
+    ``fa_norm_sq`` (a value recorded at train time), else left unset.
     """
     if horizon < 1 or horizon > test.n_steps:
         raise ValueError(f"horizon {horizon} outside 1..{test.n_steps}")
@@ -219,7 +192,7 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
     if model.physical is not None and len(model.physical.params) > 0:
         estimated = reported_params(model.physical_param_values())
         truth_params = reported_params(dict(test.true_params))
-        comparable = {k: v for k, v in estimated.items() if k in truth_params}
+        comparable = {k: v for k, v in estimated.items() if truth_params.get(k, 0) != 0}
         if comparable:
             errors, avg = param_error_pct(
                 comparable, {k: truth_params[k] for k in comparable})

@@ -478,6 +478,7 @@ def test_train_bad_train_value_exits_2_and_writes_nothing(tmp_path, capsys, trai
     ({"seed": True}, [], "seed must be a non-negative integer, got True"),
     ({}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ({}, ["--seeds", "0,-1"], "each --seeds entry must be a non-negative integer, got -1"),
+    ({}, ["--seeds", "0,1,0"], "--seeds lists seed 0 twice"),
 ])
 def test_train_bad_physics_init_or_seed_exits_2_and_writes_nothing(tmp_path, capsys,
                                                                   overrides, flags, message):
@@ -544,3 +545,48 @@ def test_evaluate_rejects_a_grid_spacing_the_checkpoint_was_not_built_for(tmp_pa
     err = capsys.readouterr().err
     assert "dx=0.285714" in err and "dx=0.181818" in err
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"downscale": [1]}, "the downscale section must be a JSON object, got [1]"),
+    ({"train": [1], "downscale": {"train": {"n_epochs": 1}}},
+     "downscale sets keys of the train section, which is not a JSON object"),
+])
+def test_downscale_of_a_non_object_exits_2_and_writes_nothing(tmp_path, capsys, overrides,
+                                                              message):
+    cfg = tiny_pendulum_config(tmp_path, **overrides)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data"),
+                 "--downscale"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_train_parallel_seeds_write_the_serial_parameters(tmp_path):
+    cfg = tiny_pendulum_config(tmp_path, train={**TINY_TRAIN, "n_epochs": 3})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    for parallel in ("1", "2"):
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / f"parallel-{parallel}"), "--seeds", "1,2",
+                     "--parallel", parallel]) == 0
+    for seed in (1, 2):
+        serial, pooled = (tmp_path / f"parallel-{n}" / f"seed-{seed}" / "checkpoint"
+                          for n in (1, 2))
+        assert (pooled / "params.bin").read_bytes() == (serial / "params.bin").read_bytes()
+
+
+def test_evaluate_leaves_a_zero_true_parameter_out_of_the_error(tmp_path, capsys):
+    # alpha is 0 in the data, so only the period has a percentage error
+    cfg = tiny_pendulum_config(
+        tmp_path, train={**TINY_TRAIN, "n_epochs": 2},
+        dataset={"n_traj_per_split": 5, "steps": 8, "dt": 0.5, "t0_period": 12.0,
+                 "alpha": 0.0, "sigma": 0.0, "sigma_test": 0.0})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+          "--out", str(tmp_path / "run")])
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    record = json.loads((tmp_path / "eval" / "metrics.json").read_text())[0]
+    assert set(record["param_err_pct"]) == {"t0_period"}
+    assert record["param_err_avg_pct"] == record["param_err_pct"]["t0_period"]
+    assert set(record["estimated_params"]) == {"t0_period", "alpha"}

@@ -303,7 +303,7 @@ def test_pad_boundary_equals_np_pad(width):
     shapes = [(2, 1, h, w) for h in range(1, 6) for w in range(1, 6)] + [(3, 4), (2, 2, 2, 4, 5)]
     for shape in shapes:
         field = rng.standard_normal(shape)
-        for bc, np_mode in (("periodic", "wrap"), ("neumann_zero", "edge")):
+        for bc, np_mode in (("periodic", "wrap"), ("neumann_zero", "edge"), ("zero", "constant")):
             if min(shape[-2:]) < width:
                 with pytest.raises(ValueError):
                     pad_boundary(field, bc, width)
