@@ -237,8 +237,9 @@ def cmd_generate(args) -> int:
         print(f"error: the simulation diverged ({exc}); partial output kept in {out}",
               file=sys.stderr)
         return EXIT_DIVERGED
-    if marker is not None:
-        marker.unlink()
+    if marker is None:
+        raise UsageError(f"every {cfg['system']} split has 0 sequences; nothing to generate")
+    marker.unlink()
     return EXIT_OK
 
 
@@ -316,12 +317,7 @@ def cmd_train(args) -> int:
     jobs = [(cfg, data_dir, out if len(seeds) == 1 else out / f"seed-{seed}", seed)
             for seed in seeds]
     if args.parallel > 1 and len(jobs) > 1:
-        # spawned, not forked: the parent may hold BLAS threads.  Imported
-        # here, since importing multiprocessing costs every command memory
-        import multiprocessing
-
-        spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(args.parallel, mp_context=spawn) as pool:
+        with concurrent.futures.ProcessPoolExecutor(args.parallel) as pool:
             return max(pool.map(_train_one_seed, *zip(*jobs)))
     return max(_train_one_seed(*job) for job in jobs)
 

@@ -505,6 +505,13 @@ def test_generate_bad_seed_exits_2_and_writes_nothing(tmp_path, capsys, override
     assert not (tmp_path / "data").exists()
 
 
+def test_generate_with_no_sequences_in_any_split_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = field_config(tmp_path, "wave", {"n_train": 0, "n_valid": 0, "n_test": 0, "grid": 8})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
+    assert "every wave split has 0 sequences" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, capsys):
     cfg = field_config(tmp_path, "wave", {"n_train": 1, "n_valid": 0, "n_test": 1,
                                           "grid": 8, "c": 100000.0, "n_steps": 200})
