@@ -9,7 +9,7 @@ biases start at zero, batch-norm at identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class MlpSpec:
     out_dim: int = 2
 
     def to_dict(self) -> dict:
-        return {"kind": "mlp", "in_dim": self.in_dim, "hidden": self.hidden,
-                "depth": self.depth, "out_dim": self.out_dim}
+        return {"kind": "mlp", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,7 @@ class ConvNetSpec:
     padding: str = "circular"  # "circular" for periodic systems, "zero" otherwise
 
     def to_dict(self) -> dict:
-        return {"kind": "convnet", "in_channels": self.in_channels,
-                "hidden_channels": self.hidden_channels,
-                "out_channels": self.out_channels, "padding": self.padding}
+        return {"kind": "convnet", **asdict(self)}
 
 
 def _uniform_fan_in(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augments import ConvNetSpec, MlpSpec, ConvNetAugmentation, MlpAugmentation
+from .augments import make_augmentation
 from .datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset,
@@ -34,7 +34,7 @@ from .metrics import (
     evaluate, load_metrics_rows, write_metrics_csv, write_metrics_json,
 )
 from .models import AugmentedDynamics, CheckpointError, load_checkpoint, save_checkpoint
-from .physics import make_family
+from .physics import level_variant, make_family
 from .training import TrainConfig, fit
 
 log = logging.getLogger("aphynity.cli")
@@ -130,6 +130,8 @@ def validate_config(cfg: dict) -> None:
     for key, value in ds_cfg.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"{system} dataset {key} must be a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{system} dataset {key} must be finite, got {value!r}")
         if isinstance(DATASET_DEFAULTS[system][key], int) and \
                 not (isinstance(value, int) and value >= 0):
             raise UsageError(f"{system} dataset {key} must be a non-negative integer, "
@@ -154,7 +156,7 @@ def validate_config(cfg: dict) -> None:
             raise UsageError("physics_init is set, but physics is 'none'")
         # the family owns its parameter names and floors
         try:
-            make_family(system, _FAMILY_VARIANTS[(system, physics)], dx=1.0, init=init)
+            make_family(system, level_variant(system, physics), dx=1.0, init=init)
         except ValueError as exc:
             raise UsageError(f"bad physics_init: {exc}") from exc
     seed = _check_seed(cfg["seed"], "seed")
@@ -170,25 +172,12 @@ def _check_seed(seed, what: str) -> int:
     return seed
 
 
-_FAMILY_VARIANTS = {
-    ("pendulum", "incomplete"): "omega0",
-    ("pendulum", "complete"): "omega0_alpha",
-    ("pendulum", "true"): "omega0_alpha",
-    ("reacdiff", "incomplete"): "ab",
-    ("reacdiff", "complete"): "abk",
-    ("reacdiff", "true"): "abk",
-    ("wave", "incomplete"): "c",
-    ("wave", "complete"): "ck",
-    ("wave", "true"): "ck",
-}
-
-
 def build_model(cfg: dict, train_ds: Dataset, seed: int) -> AugmentedDynamics:
     system = cfg["system"]
     physics_level = cfg["physics"]
     physical = None
     if physics_level != "none":
-        variant = _FAMILY_VARIANTS[(system, physics_level)]
+        variant = level_variant(system, physics_level)
         dx = train_ds.grid["dx"] if train_ds.grid else None
         if physics_level == "true":
             init = {k: v for k, v in train_ds.true_params.items() if k != "t0_period"}
@@ -197,12 +186,11 @@ def build_model(cfg: dict, train_ds: Dataset, seed: int) -> AugmentedDynamics:
             init = cfg["physics_init"] or None
             physical = make_family(system, variant, dx=dx, init=init)
     augmentation = None
-    aug_kind = cfg["augmentation"]
-    if aug_kind == "mlp":
-        augmentation = MlpAugmentation(MlpSpec(), seed=seed)
-    elif aug_kind == "convnet":
-        padding = "circular" if system == "reacdiff" else "zero"
-        augmentation = ConvNetAugmentation(ConvNetSpec(padding=padding), seed=seed)
+    if cfg["augmentation"] != "none":
+        spec = {"kind": cfg["augmentation"]}
+        if spec["kind"] == "convnet":
+            spec["padding"] = "circular" if system == "reacdiff" else "zero"
+        augmentation = make_augmentation(spec, seed=seed)
     return AugmentedDynamics(physical, augmentation)
 
 
@@ -312,6 +300,8 @@ def cmd_train(args) -> int:
     if not (data_dir / "train" / "meta.json").exists():
         raise UsageError(f"no training dataset under {data_dir}")
     seeds = _parse_seeds(args, cfg)
+    if args.parallel < 1:
+        raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
     out = Path(args.out)
     # one seed trains into --out, several into one seed-<n>/ directory each
     jobs = [(cfg, data_dir, out if len(seeds) == 1 else out / f"seed-{seed}", seed)

@@ -20,7 +20,7 @@ store the channel axis only).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Dataset:
 
     def __post_init__(self):
         self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
-        self.validate()
-
-    def validate(self) -> None:
         if self.split not in _SPLIT_CODES:
             raise ValueError(f"unknown split {self.split!r}")
         if self.trajectories.ndim not in (3, 5):
@@ -251,22 +248,11 @@ def gen_wave(n_seq: int = 250, grid: int = 64, c: float = 330.0, k: float = 50.0
 # persistence
 
 def save_dataset(ds: Dataset, path) -> None:
-    meta = {
-        "format_version": DATASET_VERSION,
-        "kind": "trajectory-dataset",
-        "system": ds.system,
-        "split": ds.split,
-        "state_kind": ds.state_kind,
-        "state_shape": list(ds.state_shape),
-        "n_traj": ds.n_traj,
-        "n_states": ds.trajectories.shape[1],
-        "dt": ds.dt,
-        "true_params": ds.true_params,
-        "noise_sigma": ds.noise_sigma,
-        "seed": ds.seed,
-        "grid": ds.grid,
-        "events": ds.events,
-    }
+    # every field but the trajectories, which the header describes by shape
+    meta = {f.name: getattr(ds, f.name) for f in fields(ds) if f.name != "trajectories"}
+    meta.update(format_version=DATASET_VERSION, kind="trajectory-dataset",
+                state_kind=ds.state_kind, state_shape=list(ds.state_shape),
+                n_traj=ds.n_traj, n_states=ds.trajectories.shape[1])
     save_artifact(path, "meta.json", "data.bin", meta, ds.trajectories)
 
 

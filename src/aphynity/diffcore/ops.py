@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, grad_enabled
+from .tensor import Tensor, _Record, grad_enabled
 
 __all__ = [
     "add", "sub", "mul", "smul", "affine", "relu", "sin", "square", "sqrt",
@@ -28,11 +28,15 @@ def _wrap(x) -> Tensor:
 
 
 def _node(values, edges) -> Tensor:
-    """Build an op output; ``edges`` is a list of (tensor, vjp) pairs."""
-    tracked = [(p, fn) for p, fn in edges if p.requires_grad]
-    if not tracked or not grad_enabled():
-        return Tensor._const(values)
-    return Tensor._interior(values, [p for p, _ in tracked], [fn for _, fn in tracked])
+    """Build an op output; ``edges`` is a list of (tensor, vjp) pairs.  The
+    output gets a graph record when grad is on and a parent requires it."""
+    out = Tensor._const(values)
+    if grad_enabled():
+        tracked = [(p._graph_node(), fn) for p, fn in edges if p.requires_grad]
+        if tracked:
+            out.requires_grad = True
+            out._record = _Record(*zip(*tracked))
+    return out
 
 
 def _is_scalar(a: np.ndarray) -> bool:

@@ -95,14 +95,6 @@ class Tensor:
         self._record = None
 
     @classmethod
-    def _interior(cls, values, parents, vjps) -> "Tensor":
-        """An op output with at least one parent that requires grad."""
-        out = cls._const(values)
-        out.requires_grad = True
-        out._record = _Record(tuple(p._graph_node() for p in parents), tuple(vjps))
-        return out
-
-    @classmethod
     def _const(cls, values) -> "Tensor":
         out = cls.__new__(cls)
         out.values = values
@@ -136,28 +128,19 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
 
-    # Operator sugar delegates to the op module; imported lazily to avoid
-    # a circular import at package load time.
+    # Operator sugar delegates to the op module, looked up at call time.
     def __add__(self, other):
-        from . import ops
-
         return ops.add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        from . import ops
-
         return ops.sub(self, other)
 
     def __rsub__(self, other):
-        from . import ops
-
         return ops.sub(other, self)
 
     def __mul__(self, other):
-        from . import ops
-
         if isinstance(other, (int, float)):
             return ops.smul(float(other), self)
         return ops.mul(self, other)
@@ -166,8 +149,6 @@ class Tensor:
         return self.__mul__(other)
 
     def __neg__(self):
-        from . import ops
-
         return ops.smul(-1.0, self)
 
     def __repr__(self) -> str:
@@ -230,3 +211,7 @@ def backward(root: Tensor) -> None:
             node.grad = np.array(g, dtype=np.float64, copy=True)
         else:
             node.grad += g
+
+
+# ops imports Tensor from this module, so it is bound once both are defined
+from . import ops  # noqa: E402

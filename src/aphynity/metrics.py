@@ -206,13 +206,8 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
             norm_val = float(fa_norm_sq)
             norm_src = "checkpoint"
 
-    method_bits = []
-    if desc["physics"]:
-        method_bits.append(physics)
-    if augmentation:
-        method_bits.append(augmentation)
     return MetricsRecord(
-        run_id=run_id, system=test.system, method="+".join(method_bits),
+        run_id=run_id, system=test.system, method="+".join(filter(None, (physics, augmentation))),
         physics=physics, augmentation=augmentation, mode=mode, seed=seed,
         horizon=horizon, log_mse=lm, param_err_pct=errors, param_err_avg_pct=avg,
         fa_norm_sq=norm_val, fa_norm_source=norm_src,

@@ -30,7 +30,7 @@ from .diffcore.ops import laplacian_stencil, pad_boundary
 __all__ = [
     "softplus_inverse", "ConstrainedParam", "laplacian", "laplacian_np",
     "PhysicalFamily", "PendulumDynamics", "ReactionDiffusionDynamics",
-    "DampedWaveDynamics", "make_family", "project_linear_family",
+    "DampedWaveDynamics", "make_family", "level_variant", "project_linear_family",
     "SingularProjectionError",
     "PENDULUM_FLOORS", "REACDIFF_FLOORS", "WAVE_FLOORS",
 ]
@@ -103,8 +103,9 @@ class PhysicalFamily:
     """Base for parametric dynamics: owns constrained params, exposes rhs().
 
     A subclass names its variants in ``VARIANTS`` (variant -> the parameters
-    it trains, in registration order) and their floors in ``FLOORS``.  A
-    parameter the variant lacks reads as ``None`` through :meth:`tensor`.
+    it trains, in registration order), the incomplete one first and the
+    complete one last, and their floors in ``FLOORS``.  A parameter the
+    variant lacks reads as ``None`` through :meth:`tensor`.
     """
 
     system: str = ""
@@ -217,6 +218,13 @@ def make_family(system: str, variant: str, *, dx: float | None = None,
     if system == "wave":
         dx = dx or 1.0
     return _FAMILIES[system](variant, init=init, trainable=trainable, dx=dx)
+
+
+def level_variant(system: str, level: str) -> str:
+    """The variant a config's physics level names: ``incomplete`` is the
+    family's first, ``complete`` and ``true`` its last."""
+    variants = list(_FAMILIES[system].VARIANTS)
+    return variants[0] if level == "incomplete" else variants[-1]
 
 
 class SingularProjectionError(RuntimeError):

@@ -32,7 +32,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +108,10 @@ class EpochRecord:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "lambda": self.lam, "train_loss": self.train_loss,
-                "valid_loss": self.valid_loss, "fa_norm_sq": self.fa_norm_sq,
-                "params": self.params, "wall_time_s": self.wall_time_s}
+        """The fields, with ``lam`` written as ``lambda``."""
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return d
 
 
 @dataclass
@@ -128,20 +129,11 @@ class TrainReport:
     wall_time_s: float = 0.0
 
     def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "epochs_run": len(self.records),
-            "total_steps": self.total_steps,
-            "final_lambda": self.final_lambda,
-            "final_params": self.final_params,
-            "final_fa_norm_sq": self.final_fa_norm_sq,
-            "final_train_loss": self.records[-1].train_loss if self.records else None,
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-            "diverged": self.diverged,
-            "events": self.events,
-            "wall_time_s": self.wall_time_s,
-        }
+        """Every field but ``records``, plus the epoch count and the last train loss."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        d["epochs_run"] = len(self.records)
+        d["final_train_loss"] = self.records[-1].train_loss if self.records else None
+        return d
 
     def core_dict(self) -> dict:
         """Everything except wall-clock times; the determinism contract."""

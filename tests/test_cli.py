@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from aphynity.cli import main
-from aphynity.datagen import gen_pendulum, load_dataset
+from aphynity.augments import ConvNetAugmentation, ConvNetSpec
+from aphynity.cli import build_model, main
+from aphynity.datagen import Dataset, gen_pendulum, load_dataset
 from aphynity.integrators import StepUnderflowError
 from aphynity.metrics import load_metrics_rows
 from aphynity.models import AugmentedDynamics, load_checkpoint, save_checkpoint
@@ -419,6 +420,10 @@ def field_config(tmp_path, system, dataset):
      "n_test must be a number, got True"),
     ("wave", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "c": [330.0]},
      "c must be a number"),
+    ("pendulum", {"sigma": float("inf")}, "pendulum dataset sigma must be finite, got inf"),
+    ("pendulum", {"sigma": float("nan")}, "pendulum dataset sigma must be finite, got nan"),
+    ("wave", {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "c": float("-inf")},
+     "wave dataset c must be finite, got -inf"),
 ])
 def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys, system,
                                                                dataset, message):
@@ -479,6 +484,8 @@ def test_train_bad_train_value_exits_2_and_writes_nothing(tmp_path, capsys, trai
     ({}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ({}, ["--seeds", "0,-1"], "each --seeds entry must be a non-negative integer, got -1"),
     ({}, ["--seeds", "0,1,0"], "--seeds lists seed 0 twice"),
+    ({}, ["--parallel", "0"], "--parallel must be at least 1, got 0"),
+    ({}, ["--seeds", "1,2", "--parallel", "-3"], "--parallel must be at least 1, got -3"),
 ])
 def test_train_bad_physics_init_or_seed_exits_2_and_writes_nothing(tmp_path, capsys,
                                                                   overrides, flags, message):
@@ -597,3 +604,63 @@ def test_evaluate_leaves_a_zero_true_parameter_out_of_the_error(tmp_path, capsys
     assert set(record["param_err_pct"]) == {"t0_period"}
     assert record["param_err_avg_pct"] == record["param_err_pct"]["t0_period"]
     assert set(record["estimated_params"]) == {"t0_period", "alpha"}
+
+
+def test_written_headers_and_records_keep_their_keys(tmp_path):
+    # these are built from dataclass fields, so a new field would change the files
+    cfg = tiny_pendulum_config(tmp_path, augmentation="mlp", mode="aphynity",
+                               train={**TINY_TRAIN, "n_epochs": 2})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 0
+    meta = json.loads((tmp_path / "data" / "train" / "meta.json").read_text())
+    assert set(meta) == {"format_version", "kind", "system", "split", "state_kind",
+                         "state_shape", "n_traj", "n_states", "dt", "true_params",
+                         "noise_sigma", "seed", "grid", "events", "payload_bytes",
+                         "payload_crc32"}
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert set(summary) == {"mode", "epochs_run", "total_steps", "final_lambda",
+                            "final_params", "final_fa_norm_sq", "final_train_loss",
+                            "best_epoch", "stopped_early", "diverged", "events",
+                            "wall_time_s"}
+    record = json.loads((tmp_path / "run" / "report.jsonl").read_text().splitlines()[0])
+    assert set(record) == {"epoch", "lambda", "train_loss", "valid_loss", "fa_norm_sq",
+                           "params", "wall_time_s"}
+    manifest = json.loads((tmp_path / "run" / "checkpoint" / "manifest.json").read_text())
+    assert set(manifest["model"]["augmentation"]) == {"kind", "in_dim", "hidden", "depth",
+                                                      "out_dim"}
+    model = AugmentedDynamics(None, ConvNetAugmentation(ConvNetSpec()))
+    save_checkpoint(model, tmp_path / "convnet")
+    manifest = json.loads((tmp_path / "convnet" / "manifest.json").read_text())
+    assert set(manifest["model"]["augmentation"]) == {"kind", "in_channels",
+                                                      "hidden_channels", "out_channels",
+                                                      "padding"}
+
+
+LEVEL_VARIANTS = {
+    ("pendulum", "incomplete"): "omega0",
+    ("pendulum", "complete"): "omega0_alpha",
+    ("pendulum", "true"): "omega0_alpha",
+    ("reacdiff", "incomplete"): "ab",
+    ("reacdiff", "complete"): "abk",
+    ("reacdiff", "true"): "abk",
+    ("wave", "incomplete"): "c",
+    ("wave", "complete"): "ck",
+    ("wave", "true"): "ck",
+}
+
+
+@pytest.mark.parametrize("system,level", sorted(LEVEL_VARIANTS))
+def test_physics_level_builds_its_variant(system, level):
+    if system == "pendulum":
+        ds = gen_pendulum(n_traj=1, steps=2)
+    else:
+        true_params = {"a": 1e-3, "b": 5e-3, "k": 5e-3} if system == "reacdiff" \
+            else {"c": 330.0, "k": 50.0}
+        ds = Dataset(system=system, split="train", dt=0.1,
+                     trajectories=np.zeros((1, 2, 2, 8, 8)), true_params=true_params,
+                     noise_sigma=0.0, seed=0, grid={"dx": 0.25, "bc": "periodic"})
+    cfg = {"system": system, "physics": level, "physics_init": None, "augmentation": "none"}
+    model = build_model(cfg, ds, seed=0)
+    assert model.physical.variant == LEVEL_VARIANTS[(system, level)]
+    assert (len(model.physical.params) == 0) == (level == "true")

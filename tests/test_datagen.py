@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from aphynity import datagen
 from aphynity.datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
-    load_dataset, save_dataset, pendulum_rhs_np,
+    load_dataset, save_dataset, pendulum_rhs_np, reacdiff_rhs_np,
 )
-from aphynity.integrators import euler_fine, rk4_step
+from aphynity.integrators import BlowUpError, euler_fine, rk4_step
 from aphynity.physics import laplacian_np
 
 
@@ -112,6 +113,41 @@ def test_reacdiff_same_seed_identical():
 def test_reacdiff_rejects_incompatible_step_sizes():
     with pytest.raises(ValueError):
         gen_reacdiff(n_seq=1, grid=8, dt_sim=3e-4, dt_data=0.1)
+
+
+def failing_reacdiff_simulation(monkeypatch, fails):
+    """Make ``gen_reacdiff``'s simulator raise ``BlowUpError`` where
+    ``fails(x0)`` holds, and run it otherwise."""
+    simulate = datagen._simulate_reacdiff_batch
+
+    def flaky(x0, *args):
+        if fails(x0):
+            raise BlowUpError("forced blow-up")
+        return simulate(x0, *args)
+    monkeypatch.setattr(datagen, "_simulate_reacdiff_batch", flaky)
+
+
+def test_reacdiff_resamples_a_sequence_whose_simulation_blows_up(monkeypatch):
+    # the batch blows up, then sequence 1 on its first initial condition only
+    seed, grid, a, b, k = 29, 8, 1e-3, 5e-3, 5e-3
+    first_x0 = datagen._stream(seed, "train", 1, 0).random((2, grid, grid))
+    failing_reacdiff_simulation(
+        monkeypatch, lambda x0: x0.ndim == 4 or np.array_equal(x0, first_x0))
+    ds = gen_reacdiff(n_seq=3, grid=grid, a=a, b=b, k=k, horizon=0.2, seed=seed)
+    assert ds.events == [{"kind": "resampled_initial_condition", "sequence": 1,
+                          "attempt": 0}]
+    # a direct simulation: 500 warm-up steps from t=-0.5, then every 100th of 200
+    rhs = reacdiff_rhs_np(a, b, k, 2.0 / (grid - 1))
+    for i, attempt in ((0, 0), (1, 1), (2, 0)):
+        x0 = datagen._stream(seed, "train", i, attempt).random((2, grid, grid))
+        warm = euler_fine(rhs, x0, 1e-3, 500, 500)[-1]
+        np.testing.assert_array_equal(ds.trajectories[i], euler_fine(rhs, warm, 1e-3, 200, 100))
+
+
+def test_reacdiff_gives_up_after_twenty_initial_conditions(monkeypatch):
+    failing_reacdiff_simulation(monkeypatch, lambda x0: True)
+    with pytest.raises(BlowUpError, match="sequence 0: 20 initial conditions all blew up"):
+        gen_reacdiff(n_seq=2, grid=8, horizon=0.2, seed=31)
 
 
 def test_wave_zero_speed_zero_damping_is_constant():
