@@ -307,7 +307,8 @@ def cmd_train(args) -> int:
     jobs = [(cfg, data_dir, out if len(seeds) == 1 else out / f"seed-{seed}", seed)
             for seed in seeds]
     if args.parallel > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.parallel) as pool:
+        # a forking pool starts all its workers at once, so start no idle ones
+        with concurrent.futures.ProcessPoolExecutor(min(args.parallel, len(jobs))) as pool:
             return max(pool.map(_train_one_seed, *zip(*jobs)))
     return max(_train_one_seed(*job) for job in jobs)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -586,6 +587,30 @@ def test_train_parallel_seeds_write_the_serial_parameters(tmp_path):
         serial, pooled = (tmp_path / f"parallel-{n}" / f"seed-{seed}" / "checkpoint"
                           for n in (1, 2))
         assert (pooled / "params.bin").read_bytes() == (serial / "params.bin").read_bytes()
+
+
+def test_train_parallel_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = tiny_pendulum_config(tmp_path, train={**TINY_TRAIN, "n_epochs": 1})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run"), "--seeds", "1,2", "--parallel", "8"]) == 0
+    assert sizes == [2]
 
 
 def test_evaluate_leaves_a_zero_true_parameter_out_of_the_error(tmp_path, capsys):
