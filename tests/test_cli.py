@@ -684,7 +684,7 @@ def test_physics_level_builds_its_variant(system, level):
             else {"c": 330.0, "k": 50.0}
         ds = Dataset(system=system, split="train", dt=0.1,
                      trajectories=np.zeros((1, 2, 2, 8, 8)), true_params=true_params,
-                     noise_sigma=0.0, seed=0, grid={"dx": 0.25, "bc": "periodic"})
+                     noise_sigma=0.0, seed=0, grid={"dx": 0.25})
     cfg = {"system": system, "physics": level, "physics_init": None, "augmentation": "none"}
     model = build_model(cfg, ds, seed=0)
     assert model.physical.variant == LEVEL_VARIANTS[(system, level)]
