@@ -61,9 +61,12 @@ class MlpAugmentation:
             b = self.params.add(f"b{i}", np.zeros(n_out))
             self._layers.append((w, b))
 
+    def check_batch(self, shape: tuple) -> None:
+        if len(shape) != 2 or shape[1] != self.spec.in_dim:
+            raise ValueError(f"expected (B, {self.spec.in_dim}) state batch, got {shape}")
+
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.spec.in_dim:
-            raise ValueError(f"expected (B, {self.spec.in_dim}) state batch, got {x.shape}")
+        self.check_batch(x.shape)
         h = x
         for w, b in self._layers[:-1]:
             h = dc.relu(dc.affine(h, w, b))
@@ -99,10 +102,13 @@ class ConvNetAugmentation:
             s = self.params.add(f"s{i}", np.zeros(spec.hidden_channels))
             self._norms.append((g, s))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.spec.in_channels:
+    def check_batch(self, shape: tuple) -> None:
+        if len(shape) != 4 or shape[1] != self.spec.in_channels:
             raise ValueError(
-                f"expected (B, {self.spec.in_channels}, H, W) state batch, got {x.shape}")
+                f"expected (B, {self.spec.in_channels}, H, W) state batch, got {shape}")
+
+    def __call__(self, x: Tensor) -> Tensor:
+        self.check_batch(x.shape)
         pad = self.spec.padding
         k0, k1, k2 = self._kernels
         norm0, norm1 = self._norms

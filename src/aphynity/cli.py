@@ -51,6 +51,10 @@ class UsageError(RuntimeError):
     pass
 
 
+class MetricsFileError(RuntimeError):
+    """A metrics.csv that ``report`` cannot read as a table of metrics."""
+
+
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("APHYNITY_LOG", "info"), logging.INFO)
@@ -341,10 +345,10 @@ def cmd_evaluate(args) -> int:
         raise UsageError(
             f"horizon {horizon} outside 1..{test_ds.n_steps} for this dataset")
     run_id = extra.get("config_name") or "run"
-    seed = int(extra.get("seed", 0))
+    seed = _extra_number(extra, "seed", int, 0)
     try:
         record = evaluate(model, test_ds, horizon, train=train_ds,
-                          fa_norm_sq=extra.get("fa_norm_sq"),
+                          fa_norm_sq=_extra_number(extra, "fa_norm_sq", float, None),
                           run_id=f"{run_id}-seed{seed}", mode=extra.get("mode", "n/a"),
                           seed=seed)
     except BlowUpError as exc:
@@ -362,26 +366,29 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _extra_number(extra: dict, key: str, convert, default):
+    """``convert(extra[key])``, or ``default`` if the key is missing or null."""
+    try:
+        return default if extra.get(key) is None else convert(extra[key])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"manifest.json: extra {key} is {extra[key]!r}, "
+                              f"not a number") from exc
+
+
 def _check_compatibility(model: AugmentedDynamics, ds: Dataset) -> None:
-    desc = model.describe()
-    if desc["physics"] is not None and desc["physics"]["system"] != ds.system:
-        raise UsageError(
-            f"checkpoint is for {desc['physics']['system']!r}, data is {ds.system!r}")
-    model_dx = desc["physics"]["dx"] if desc["physics"] is not None else None
-    data_dx = (ds.grid or {}).get("dx")
-    if model_dx is not None and data_dx is not None and not math.isclose(model_dx, data_dx):
-        raise UsageError(f"checkpoint's physics has grid spacing dx={model_dx:.6g}, "
-                         f"data has dx={data_dx:.6g}")
-    if desc["augmentation"] is not None:
-        kind = desc["augmentation"]["kind"]
-        if kind == "mlp" and ds.state_kind != "vector":
-            raise UsageError("mlp checkpoint cannot evaluate field states")
-        if kind == "convnet" and ds.state_kind != "field":
-            raise UsageError("convnet checkpoint cannot evaluate vector states")
-        if kind == "mlp" and ds.state_shape[0] != desc["augmentation"]["in_dim"]:
-            raise UsageError("state width differs from checkpoint")
-        if kind == "convnet" and ds.state_shape[0] != desc["augmentation"]["in_channels"]:
-            raise UsageError("channel count differs from checkpoint")
+    fam = model.physical
+    if fam is not None:
+        if fam.system != ds.system:
+            raise UsageError(f"checkpoint is for {fam.system!r}, data is {ds.system!r}")
+        data_dx = (ds.grid or {}).get("dx")
+        if fam.dx is not None and data_dx is not None and not math.isclose(fam.dx, data_dx):
+            raise UsageError(f"checkpoint's physics has grid spacing dx={fam.dx:.6g}, "
+                             f"data has dx={data_dx:.6g}")
+    if model.augmentation is not None:
+        try:  # the residual's own input check, on the data's state batch shape
+            model.augmentation.check_batch((ds.n_traj, *ds.state_shape))
+        except ValueError as exc:
+            raise UsageError(f"checkpoint's residual cannot evaluate this data: {exc}") from exc
 
 
 # The report's metric columns and their headings in report.txt.
@@ -391,18 +398,21 @@ REPORT_METRICS = (("log_mse", "log MSE"), ("param_err_avg_pct", "%Err param"),
 
 def cmd_report(args) -> int:
     results = Path(args.results)
-    rows = []
+    groups: dict = {}  # (system, method, mode) -> one {metric: value} per row
     for csv_path in sorted(results.rglob("metrics.csv")):
-        rows.extend(load_metrics_rows(csv_path))
-    if not rows:
+        try:
+            for row in load_metrics_rows(csv_path):
+                groups.setdefault((row["system"], row["method"], row["mode"]), []).append(
+                    {name: None if row[name] in ("n/a", "") else float(row[name])
+                     for name, _ in REPORT_METRICS})
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise MetricsFileError(f"{csv_path} is not a metrics table: "
+                                   f"{type(exc).__name__}: {exc}") from exc
+    if not groups:
         raise UsageError(f"no metrics.csv files under {results}")
-    groups: dict = {}
-    for row in rows:
-        key = (row["system"], row["method"], row["mode"])
-        groups.setdefault(key, []).append(row)
 
-    def agg(values: list[str]):
-        nums = [float(v) for v in values if v not in ("n/a", "")]
+    def agg(values: list):
+        nums = [v for v in values if v is not None]
         if not nums or any(not np.isfinite(x) for x in nums):
             return "n/a", "n/a"
         mean = float(np.mean(nums))
@@ -495,7 +505,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, CheckpointError) as exc:
+    except (DatasetError, CheckpointError, MetricsFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
 

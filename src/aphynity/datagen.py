@@ -68,6 +68,10 @@ class Dataset:
             raise ValueError("trajectories need at least two states")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not isinstance(self.true_params, dict):
+            raise TypeError(f"true_params is not a dict: {self.true_params!r}")
+        if not isinstance(self.grid, (dict, type(None))):
+            raise TypeError(f"grid is neither a dict nor None: {self.grid!r}")
 
     @property
     def n_traj(self) -> int:
@@ -262,15 +266,9 @@ def load_dataset(path) -> Dataset:
         shape = (meta["n_traj"], meta["n_states"], *meta["state_shape"])
         if min(shape) < 1:
             raise ValueError(f"non-positive dimension in {shape}")
-        if not isinstance(meta["true_params"], dict):
-            raise TypeError(f"true_params is not a JSON object: {meta['true_params']!r}")
-        if not isinstance(meta["grid"], (dict, type(None))):
-            raise TypeError(f"grid is neither a JSON object nor null: {meta['grid']!r}")
-        ds = Dataset(
-            system=meta["system"], split=meta["split"], dt=meta["dt"],
-            trajectories=values.reshape(shape), true_params=meta["true_params"],
-            noise_sigma=meta["noise_sigma"], seed=meta["seed"], grid=meta["grid"],
-            events=meta.get("events", []))
+        # every field save_dataset wrote; a field with a default may be absent
+        ds = Dataset(trajectories=values.reshape(shape),
+                     **{f.name: meta[f.name] for f in fields(Dataset) if f.name in meta})
         if ds.state_kind != meta["state_kind"]:
             raise ValueError(f"state_kind {meta['state_kind']!r} disagrees with "
                              f"state_shape {meta['state_shape']}")

@@ -35,7 +35,7 @@ def _node(values, edges) -> Tensor:
         tracked = [(p._graph_node(), fn) for p, fn in edges if p.requires_grad]
         if tracked:
             out.requires_grad = True
-            out._record = _Record(*zip(*tracked))
+            out._record = _Record(tracked)
     return out
 
 

@@ -15,10 +15,10 @@ class ParamSet:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, values, requires_grad: bool = True) -> Tensor:
+    def add(self, name: str, values) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = values if isinstance(values, Tensor) else Tensor(values, requires_grad=requires_grad)
+        t = values if isinstance(values, Tensor) else Tensor(values, requires_grad=True)
         self._params[name] = t
         return t
 

@@ -63,14 +63,13 @@ def no_grad():
 
 
 class _Record:
-    """An interior node of the graph: its parents' graph nodes and one VJP per
-    parent.  ``backward`` sets both to ``None`` once the VJPs have run."""
+    """An interior node of the graph: its edges, a list of (parent graph node,
+    VJP) pairs.  ``backward`` sets it to ``None`` once the VJPs have run."""
 
-    __slots__ = ("parents", "vjps")
+    __slots__ = ("edges",)
 
-    def __init__(self, parents, vjps):
-        self.parents = parents
-        self.vjps = vjps
+    def __init__(self, edges):
+        self.edges = edges
 
 
 class Tensor:
@@ -171,10 +170,10 @@ def _toposort(start) -> list:
         seen.add(id(node))
         stack.append((node, True))
         if type(node) is _Record:
-            if node.parents is None:
+            if node.edges is None:
                 raise RuntimeError("backward reached a graph that an earlier backward "
                                    "consumed; build the graph again")
-            for parent in node.parents:
+            for parent, _ in node.edges:
                 if id(parent) not in seen:
                     stack.append((parent, False))
     return order
@@ -198,9 +197,8 @@ def backward(root: Tensor) -> None:
         # every node is reachable from the root, so its gradient has arrived
         g = inflight.pop(id(node))
         if type(node) is _Record:
-            parents, vjps = node.parents, node.vjps
-            node.parents = node.vjps = None
-            for parent, vjp in zip(parents, vjps):
+            edges, node.edges = node.edges, None
+            for parent, vjp in edges:
                 contrib = vjp(g)
                 key = id(parent)
                 if key in inflight:

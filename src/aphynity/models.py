@@ -106,9 +106,9 @@ def load_checkpoint(path) -> tuple[AugmentedDynamics, dict]:
         desc = manifest["model"]
         physical = augmentation = None
         if desc["physics"] is not None:
-            p = desc["physics"]
-            physical = make_family(p["system"], p["variant"], dx=p.get("dx"),
-                                   trainable=p["trainable"])
+            # the payload restores the values exactly
+            physical = make_family(**{k: v for k, v in desc["physics"].items()
+                                      if k != "values"})
         if desc["augmentation"] is not None:
             augmentation = make_augmentation(desc["augmentation"])
         model = AugmentedDynamics(physical, augmentation)

@@ -293,7 +293,6 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
     best_valid = np.inf
     best_state = None
     best_epoch = None
-    patience_left = cfg.patience
     steps = 0
     out_of_budget = False
 
@@ -366,13 +365,11 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
                 best_valid = valid_loss
                 best_state = model.params.state()
                 best_epoch = epoch
-                patience_left = cfg.patience
-            else:
-                patience_left -= 1
-                if patience_left <= 0:
-                    report.stopped_early = True
-                    log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
-                    break
+            elif epoch - (best_epoch or 0) >= cfg.patience:
+                report.stopped_early = True
+                log.info("early stop at epoch %d (%s)", epoch, "no epoch improved"
+                         if best_epoch is None else f"best epoch {best_epoch}")
+                break
         if out_of_budget:
             break
 

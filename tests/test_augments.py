@@ -8,7 +8,8 @@ from aphynity.augments import (
 )
 from aphynity.diffcore import Tensor
 from aphynity.models import (
-    CHECKPOINT_VERSION, AugmentedDynamics, CheckpointError, load_checkpoint, save_checkpoint,
+    CHECKPOINT_VERSION, AugmentedDynamics, CheckpointError, _stored_params, load_checkpoint,
+    save_checkpoint,
 )
 from aphynity.physics import make_family
 
@@ -220,6 +221,23 @@ def test_checkpoint_roundtrip_frozen_physics(tmp_path):
     restored, _ = load_checkpoint(tmp_path / "ckpt")
     assert len(restored.params) == 0
     assert restored.physical.param_values()["omega0_sq"] == pytest.approx(0.274, abs=1e-12)
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+def test_checkpoint_roundtrip_keeps_description_and_every_array(tmp_path, trainable):
+    # rebuilt from what describe() wrote, restored from the payload: a key or
+    # an array that the reader drops or changes fails here
+    fam = make_family("reacdiff", "abk", dx=0.25, init={"a": 2e-3, "b": 4e-3, "k": 3e-3},
+                      trainable=trainable)
+    model = AugmentedDynamics(fam, ConvNetAugmentation(ConvNetSpec(padding="zero"), seed=22))
+    save_checkpoint(model, tmp_path / "ckpt")
+    restored, _ = load_checkpoint(tmp_path / "ckpt")
+    assert restored.describe() == model.describe()
+    stored, restored_stored = _stored_params(model), _stored_params(restored)
+    assert [n for n, _ in restored_stored.items()] == [n for n, _ in stored.items()]
+    for name, t in stored.items():
+        assert restored_stored[name].values.tobytes() == t.values.tobytes(), name
+    assert len(restored.physical.params) == (3 if trainable else 0)
 
 
 def test_checkpoint_detects_corruption(tmp_path):

@@ -1,14 +1,15 @@
 import concurrent.futures
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from aphynity.augments import ConvNetAugmentation, ConvNetSpec
+from aphynity.augments import ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec
 from aphynity.cli import build_model, main
-from aphynity.datagen import Dataset, gen_pendulum, load_dataset
+from aphynity.datagen import Dataset, gen_pendulum, load_dataset, save_dataset
 from aphynity.integrators import StepUnderflowError
-from aphynity.metrics import load_metrics_rows
+from aphynity.metrics import MetricsRecord, load_metrics_rows, write_metrics_csv
 from aphynity.models import AugmentedDynamics, load_checkpoint, save_checkpoint
 from aphynity.physics import make_family
 
@@ -163,6 +164,37 @@ def test_report_aggregates_seeds_and_flags_na(tmp_path, capsys):
     assert float(rows[0]["log_mse_std"]) >= 0.0
 
 
+def bad_log_mse(rows):
+    rows[0]["log_mse"] = "abc"
+
+
+def no_system_column(rows):
+    for row in rows:
+        del row["system"]
+
+
+@pytest.mark.parametrize("corrupt", [bad_log_mse, no_system_column],
+                         ids=["log_mse_not_a_number", "no_system_column"])
+def test_report_malformed_metrics_csv_exits_4(tmp_path, capsys, corrupt):
+    record = MetricsRecord(run_id="r", system="pendulum", method="pendulum:omega0",
+                           physics="pendulum:omega0", augmentation=None, mode="vanilla",
+                           seed=0, horizon=4, log_mse=-3.5)
+    write_metrics_csv([record], tmp_path / "evals" / "good" / "metrics.csv")
+    rows = [record.to_row()]
+    corrupt(rows)
+    bad = tmp_path / "evals" / "seed-1" / "metrics.csv"
+    bad.parent.mkdir(parents=True)
+    with open(bad, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    code = main(["report", "--results", str(tmp_path / "evals"),
+                 "--out", str(tmp_path / "summary")])
+    assert code == 4
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "summary").exists()
+
+
 def test_report_empty_directory_is_usage_error(tmp_path):
     assert main(["report", "--results", str(tmp_path),
                  "--out", str(tmp_path / "summary")]) == 2
@@ -218,6 +250,38 @@ def test_incompatible_checkpoint_and_data(tmp_path, capsys):
     assert code == 2
 
 
+def vector_data(path):
+    save_dataset(Dataset(system="pendulum", split="test", dt=0.5,
+                         trajectories=np.zeros((2, 3, 2)), true_params={}, noise_sigma=0.0,
+                         seed=0), path)
+
+
+def field_data(path):
+    save_dataset(Dataset(system="reacdiff", split="test", dt=0.1,
+                         trajectories=np.zeros((2, 3, 2, 8, 8)), true_params={},
+                         noise_sigma=0.0, seed=0, grid={"dx": 0.25, "bc": "periodic"}), path)
+
+
+@pytest.mark.parametrize("residual,write_data,expected", [
+    (MlpAugmentation(MlpSpec(hidden=4, depth=1)), field_data, "(B, 2) state batch"),
+    (ConvNetAugmentation(ConvNetSpec(hidden_channels=4)), vector_data,
+     "(B, 2, H, W) state batch"),
+    (MlpAugmentation(MlpSpec(in_dim=3, hidden=4, depth=1)), vector_data, "(B, 3) state batch"),
+    (ConvNetAugmentation(ConvNetSpec(in_channels=3, hidden_channels=4)), field_data,
+     "(B, 3, H, W) state batch"),
+], ids=["mlp_on_fields", "convnet_on_vectors", "mlp_in_dim_3", "convnet_in_channels_3"])
+def test_evaluate_refuses_states_the_residual_does_not_take(tmp_path, capsys, residual,
+                                                            write_data, expected):
+    # the refusal comes from the residual's own input check, before any output
+    save_checkpoint(AugmentedDynamics(None, residual), tmp_path / "checkpoint")
+    write_data(tmp_path / "test")
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint"),
+                 "--data", str(tmp_path / "test"), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_train_seed_list_without_seed_is_usage_error(tmp_path, capsys):
     cfg = tiny_pendulum_config(tmp_path)
     main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
@@ -261,11 +325,18 @@ def replace_with_list(manifest, name):
     manifest[name] = [1]
 
 
+def set_extra_to_text(manifest, name):
+    manifest["extra"][name] = "x"
+
+
 @pytest.mark.parametrize("corrupt,name", [
     (drop_array, "physics.alpha"),
     (reshape_array, "physics.omega0_sq"),
     (replace_with_list, "extra"),
-], ids=["missing", "wrong_shape", "extra_not_object"])
+    (set_extra_to_text, "seed"),
+    (set_extra_to_text, "fa_norm_sq"),
+], ids=["missing", "wrong_shape", "extra_not_object", "extra_seed_not_a_number",
+        "extra_fa_norm_sq_not_a_number"])
 def test_checkpoint_manifest_missing_array_exits_4(tmp_path, capsys, corrupt, name):
     cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
                                                 "optimizer": "adam", "patience": None})

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -189,17 +192,38 @@ def test_wave_same_seed_identical():
 
 
 def test_save_load_roundtrip_bit_exact(tmp_path):
-    ds = gen_pendulum(n_traj=3, steps=8, seed=43)
-    save_dataset(ds, tmp_path / "d1")
-    loaded = load_dataset(tmp_path / "d1")
-    assert loaded.trajectories.tobytes() == ds.trajectories.tobytes()
-    assert loaded.true_params == ds.true_params
-    assert loaded.split == ds.split and loaded.dt == ds.dt
-    save_dataset(loaded, tmp_path / "d2")
-    assert (tmp_path / "d1" / "data.bin").read_bytes() == \
-        (tmp_path / "d2" / "data.bin").read_bytes()
-    assert (tmp_path / "d1" / "meta.json").read_text() == \
-        (tmp_path / "d2" / "meta.json").read_text()
+    pendulum = gen_pendulum(n_traj=3, steps=8, seed=43)
+    reacdiff = dataclasses.replace(
+        gen_reacdiff(n_seq=1, grid=8, horizon=0.2, seed=43),
+        events=[{"kind": "resampled_initial_condition", "sequence": 0, "attempt": 0}])
+    assert reacdiff.grid is not None
+    for ds in (pendulum, reacdiff):
+        d1, d2 = tmp_path / ds.system / "d1", tmp_path / ds.system / "d2"
+        save_dataset(ds, d1)
+        loaded = load_dataset(d1)
+        assert loaded.trajectories.tobytes() == ds.trajectories.tobytes()
+        assert loaded.true_params == ds.true_params
+        assert loaded.split == ds.split and loaded.dt == ds.dt
+        # every field, so one that save_dataset writes and load_dataset drops fails
+        for f in dataclasses.fields(Dataset):
+            if f.name != "trajectories":
+                assert getattr(loaded, f.name) == getattr(ds, f.name), f.name
+        save_dataset(loaded, d2)
+        assert (d1 / "data.bin").read_bytes() == (d2 / "data.bin").read_bytes()
+        assert (d1 / "meta.json").read_text() == (d2 / "meta.json").read_text()
+
+
+def test_load_fills_a_missing_field_that_has_a_default(tmp_path):
+    save_dataset(gen_pendulum(n_traj=2, steps=4, seed=61), tmp_path / "d")
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    del meta["grid"], meta["events"]
+    (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+    loaded = load_dataset(tmp_path / "d")
+    assert loaded.grid is None and loaded.events == []
+    del meta["seed"]
+    (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match="seed"):
+        load_dataset(tmp_path / "d")
 
 
 def test_load_detects_payload_corruption(tmp_path):
@@ -246,3 +270,14 @@ def test_dataset_validates_invariants():
     with pytest.raises(ValueError, match="rank 4"):
         Dataset(system="reacdiff", split="train", dt=0.1, trajectories=np.zeros((3, 4, 8, 8)),
                 true_params={}, noise_sigma=0.0, seed=0)
+
+
+def test_dataset_checks_the_types_of_true_params_and_grid():
+    # the one rule for generators, the reader and hand-built datasets alike
+    states = np.zeros((1, 2, 2, 4, 4))
+    with pytest.raises(TypeError, match="true_params"):
+        Dataset(system="reacdiff", split="train", dt=0.1, trajectories=states,
+                true_params=[1.0], noise_sigma=0.0, seed=0)
+    with pytest.raises(TypeError, match="grid"):
+        Dataset(system="reacdiff", split="train", dt=0.1, trajectories=states,
+                true_params={}, noise_sigma=0.0, seed=0, grid="periodic")

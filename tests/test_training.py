@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -255,6 +257,21 @@ def test_early_stopping_restores_best_parameters():
     assert len(report.records) < 500  # converged and ran out of patience
     best = min(report.records, key=lambda r: r.valid_loss)
     assert report.best_epoch == best.epoch
+
+
+def test_early_stop_with_no_improving_epoch_logs_cleanly(caplog):
+    # every validation rollout's error overflows to inf, so no epoch improves
+    data = scalar_dataset(a_true=0.5)
+    valid = dataclasses.replace(data, trajectories=np.full_like(data.trajectories, 1e300))
+    model = AugmentedDynamics(ScalarLinearFamily(0.5), None)
+    cfg = TrainConfig(mode="vanilla", n_epochs=10, tau1=0.01, optimizer="sgd", patience=2)
+    with caplog.at_level(logging.INFO, logger="aphynity.training"), \
+            np.errstate(over="ignore"):
+        report = fit(model, data, cfg, valid=valid)
+    assert report.stopped_early and report.best_epoch is None
+    assert len(report.records) == 2
+    assert [r.valid_loss for r in report.records] == [math.inf, math.inf]
+    assert "early stop at epoch 2 (no epoch improved)" in caplog.messages
 
 
 def test_max_steps_caps_updates():
