@@ -51,10 +51,6 @@ class UsageError(RuntimeError):
     pass
 
 
-class MetricsFileError(RuntimeError):
-    """A metrics.csv that ``report`` cannot read as a table of metrics."""
-
-
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("APHYNITY_LOG", "info"), logging.INFO)
@@ -406,8 +402,9 @@ def cmd_report(args) -> int:
                     {name: None if row[name] in ("n/a", "") else float(row[name])
                      for name, _ in REPORT_METRICS})
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise MetricsFileError(f"{csv_path} is not a metrics table: "
-                                   f"{type(exc).__name__}: {exc}") from exc
+            print(f"error: {csv_path} is not a metrics table: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_CORRUPT
     if not groups:
         raise UsageError(f"no metrics.csv files under {results}")
 
@@ -505,7 +502,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, CheckpointError, MetricsFileError) as exc:
+    except (DatasetError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
 
