@@ -27,6 +27,10 @@ class MlpSpec:
     depth: int = 3  # hidden layers
     out_dim: int = 2
 
+    def __post_init__(self):  # the residual is a derivative of the state
+        if self.out_dim != self.in_dim:
+            raise ValueError(f"out_dim {self.out_dim} differs from in_dim {self.in_dim}")
+
     def to_dict(self) -> dict:
         return {"kind": "mlp", **asdict(self)}
 
@@ -37,6 +41,11 @@ class ConvNetSpec:
     hidden_channels: int = 16
     out_channels: int = 2
     padding: str = "circular"  # "circular" for periodic systems, "zero" otherwise
+
+    def __post_init__(self):  # the residual is a derivative of the state
+        if self.out_channels != self.in_channels:
+            raise ValueError(f"out_channels {self.out_channels} differs from "
+                             f"in_channels {self.in_channels}")
 
     def to_dict(self) -> dict:
         return {"kind": "convnet", **asdict(self)}

@@ -26,7 +26,7 @@ import numpy as np
 
 from .augments import make_augmentation
 from .datagen import (
-    Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
+    SPLITS, Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset,
 )
 from .integrators import BlowUpError, StepUnderflowError
@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_CORRUPT = 4
-
-SPLITS = ("train", "valid", "test")
 
 
 class UsageError(RuntimeError):
@@ -210,57 +208,38 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config, args.downscale)
     seed = cfg["seed"] if args.seed is None else _check_seed(args.seed, "--seed")
     out = Path(args.out)
-    marker = None
     try:
-        # the splits give their generator the same arguments but their sizes,
-        # which validate_config checked, so a bad value fails the first split
-        # before anything is written; each split is marked before it is saved
-        for split, ds in _generate_splits(cfg["system"], cfg["dataset"], seed):
-            marker = _mark_partial(out)
-            save_dataset(ds, out / split)
-            log.info("%s: wrote %d trajectories of %d steps to %s",
-                     split, ds.n_traj, ds.n_steps, out / split)
+        datasets = _generate(cfg["system"], cfg["dataset"], seed)
     except (BlowUpError, StepUnderflowError) as exc:
         _mark_partial(out)
-        print(f"error: the simulation diverged ({exc}); partial output kept in {out}",
+        print(f"error: the simulation diverged ({exc}); no split written to {out}",
               file=sys.stderr)
         return EXIT_DIVERGED
-    if marker is None:
-        raise UsageError(f"every {cfg['system']} split has 0 sequences; nothing to generate")
+    for split, ds in datasets.items():
+        marker = _mark_partial(out)
+        save_dataset(ds, out / split)
+        log.info("%s: wrote %d trajectories of %d steps to %s",
+                 split, ds.n_traj, ds.n_steps, out / split)
     marker.unlink()
     return EXIT_OK
 
 
-def _generate_splits(system: str, ds_cfg: dict, seed: int):
-    """``(split, dataset)`` for each split with trajectories, one at a time; a
-    generator's argument error is a usage error."""
-    for split in SPLITS:
-        try:
-            ds = _generate_split(system, ds_cfg, split, seed)
-        except ValueError as exc:
-            raise UsageError(f"bad {system} dataset section: {exc}") from exc
-        if ds is not None:
-            yield split, ds
-
-
-def _generate_split(system: str, ds_cfg: dict, split: str, seed: int):
+def _generate(system: str, ds_cfg: dict, seed: int) -> dict[str, Dataset]:
+    """Every split with sequences, from one simulation; a bad dataset section is a usage error."""
     p = {**DATASET_DEFAULTS[system], **ds_cfg}
     if system == "pendulum":
-        return gen_pendulum(
-            n_traj=p["n_traj_per_split"], steps=p["steps"], dt=p["dt"],
-            t0_period=p["t0_period"], alpha=p["alpha"],
-            sigma=p["sigma_test" if split == "test" else "sigma"], seed=seed, split=split)
-    n_seq = p[f"n_{split}"]
-    if n_seq == 0:
-        return None
-    if system == "reacdiff":
-        return gen_reacdiff(
-            n_seq=n_seq, grid=p["grid"], a=p["a"], b=p["b"], k=p["k"],
-            dt_sim=p["dt_sim"], dt_data=p["dt_data"], horizon=p["horizon"],
-            t_init=p["t_init"], seed=seed, split=split)
-    return gen_wave(
-        n_seq=n_seq, grid=p["grid"], c=p["c"], k=p["k"], dt=p["dt"], n_steps=p["n_steps"],
-        sigma_range=(p["sigma_lo"], p["sigma_hi"]), seed=seed, split=split)
+        counts = dict.fromkeys(SPLITS, p.pop("n_traj_per_split"))
+    else:
+        counts = {split: p.pop(f"n_{split}") for split in SPLITS}
+    if system == "wave":
+        p["sigma_range"] = (p.pop("sigma_lo"), p.pop("sigma_hi"))
+    if not any(counts.values()):
+        raise UsageError(f"every {system} split has 0 sequences; nothing to generate")
+    generate = {"pendulum": gen_pendulum, "reacdiff": gen_reacdiff, "wave": gen_wave}[system]
+    try:
+        return generate(counts, seed=seed, **p)
+    except ValueError as exc:
+        raise UsageError(f"bad {system} dataset section: {exc}") from exc
 
 
 def _train_one_seed(cfg: dict, data_dir: Path, out_dir: Path, seed: int) -> int:

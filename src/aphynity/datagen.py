@@ -3,13 +3,14 @@
 Each system gets its own high-accuracy simulator, deliberately different
 from the fixed-step solver used at training time: adaptive Dormand-Prince
 for the pendulum, fine-step explicit Euler for reaction-diffusion, and
-fine-step RK4 with a 4th-order Laplacian for the damped wave.  Each
-simulator advances a whole split as one array; the pendulum's integrates
-its trajectories in lock-step, each with its own adaptive step control.
+fine-step RK4 with a 4th-order Laplacian for the damped wave.  A generator
+takes ``{split: count}``, simulates every split in one batch whose rows do
+not interact (the pendulum's in lock-step, each trajectory with its own
+adaptive step control), and returns ``{split: Dataset}`` for each split with
+sequences.
 
-Per-trajectory RNG streams are derived from ``(seed, split, index)``, and a
-pendulum trajectory's steps do not depend on the others in its batch, so
-generation order and parallelism cannot change the data.
+Per-trajectory RNG streams are derived from ``(seed, split, index)``, so
+neither the other splits nor the batch can change a sequence's data.
 
 A dataset on disk is an artifact (see :mod:`aphynity.artifacts`):
 ``meta.json`` carries the recipe and the array's shape; ``data.bin`` holds the
@@ -29,7 +30,7 @@ from .integrators import BlowUpError, dopri5, euler_fine, rk4_step
 from .physics import laplacian_np
 
 __all__ = [
-    "Dataset", "DatasetError", "gen_pendulum", "gen_reacdiff", "gen_wave",
+    "SPLITS", "Dataset", "DatasetError", "gen_pendulum", "gen_reacdiff", "gen_wave",
     "save_dataset", "load_dataset", "pendulum_rhs_np", "reacdiff_rhs_np",
     "wave_rhs_np",
 ]
@@ -37,7 +38,7 @@ __all__ = [
 log = logging.getLogger("aphynity.datagen")
 
 DATASET_VERSION = 1
-_SPLIT_CODES = {"train": 0, "valid": 1, "test": 2}
+SPLITS = ("train", "valid", "test")  # simulation order; the index is the stream's code
 
 
 class DatasetError(RuntimeError):
@@ -58,7 +59,7 @@ class Dataset:
 
     def __post_init__(self):
         self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
-        if self.split not in _SPLIT_CODES:
+        if self.split not in SPLITS:
             raise ValueError(f"unknown split {self.split!r}")
         if self.trajectories.ndim not in (3, 5):
             raise ValueError(
@@ -95,7 +96,21 @@ class Dataset:
 
 def _stream(seed: int, split: str, index: int, attempt: int = 0) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence((seed, _SPLIT_CODES[split], index, attempt)))
+        np.random.SeedSequence((seed, SPLITS.index(split), index, attempt)))
+
+
+def _members(counts: dict) -> list[tuple[str, int]]:
+    """``(split, index)`` of every sequence in ``{split: count}``, split by
+    split in ``SPLITS`` order: the rows of the one simulated batch."""
+    return [(split, i) for split in sorted(counts, key=SPLITS.index)
+            for i in range(counts[split])]
+
+
+def _by_split(counts: dict, batch: np.ndarray) -> dict[str, np.ndarray]:
+    """``{split: rows}`` of a batch laid out as ``_members``, for each split
+    that has sequences."""
+    ends = np.cumsum([counts.get(split, 0) for split in SPLITS])
+    return {split: rows for split, rows in zip(SPLITS, np.split(batch, ends[:-1])) if len(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -130,33 +145,36 @@ def wave_rhs_np(c: float, k: float, dx: float = 1.0, order: int = 4):
 # ---------------------------------------------------------------------------
 # generators
 
-def gen_pendulum(n_traj: int = 25, steps: int = 40, dt: float = 0.5,
-                 t0_period: float = 12.0, alpha: float = 0.2, sigma: float = 0.01,
-                 seed: int = 0, split: str = "train") -> Dataset:
+def gen_pendulum(n_traj: dict, steps: int = 40, dt: float = 0.5, t0_period: float = 12.0,
+                 alpha: float = 0.2, sigma: float = 0.01, sigma_test: float = 0.0,
+                 seed: int = 0) -> dict[str, Dataset]:
     """Damped-pendulum trajectories from random initial swings.
 
     Initial conditions are ``theta0 ~ U(-pi/2, pi/2)``, ``v0 ~ U(-1, 1)``;
     the simulator is adaptive Dormand-Prince, run on all trajectories at
-    once with per-trajectory step control; ``sigma`` of white Gaussian noise
-    is added to every state entry afterwards.  Each stream draws its two
-    initial uniforms, then its noise.
+    once with per-trajectory step control; white Gaussian noise is added to
+    every state entry afterwards, ``sigma`` of it in train and valid and
+    ``sigma_test`` in test.  Each stream draws its two initial uniforms,
+    then its noise.
     """
     if not t0_period > 0 or alpha < 0:
         raise ValueError("t0_period must be positive and alpha non-negative")
     omega0_sq = (2.0 * np.pi / t0_period) ** 2
     rhs = pendulum_rhs_np(omega0_sq, alpha)
     t_grid = dt * np.arange(steps + 1)
-    rngs = [_stream(seed, split, i) for i in range(n_traj)]
+    members = _members(n_traj)
+    rngs = [_stream(seed, split, i) for split, i in members]
     x0 = np.array([[rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-1.0, 1.0)]
-                   for rng in rngs]).reshape(n_traj, 2)
+                   for rng in rngs]).reshape(len(rngs), 2)
     out = np.ascontiguousarray(dopri5(rhs, x0, t_grid).transpose(1, 0, 2))
-    if sigma > 0:
-        for i, rng in enumerate(rngs):
-            out[i] += sigma * rng.standard_normal(out[i].shape)
-    return Dataset(
-        system="pendulum", split=split, dt=dt, trajectories=out,
+    levels = {"train": sigma, "valid": sigma, "test": sigma_test}
+    for (split, _), rng, traj in zip(members, rngs, out):
+        if levels[split] > 0:
+            traj += levels[split] * rng.standard_normal(traj.shape)
+    return {split: Dataset(
+        system="pendulum", split=split, dt=dt, trajectories=trajs,
         true_params={"omega0_sq": omega0_sq, "alpha": alpha, "t0_period": t0_period},
-        noise_sigma=sigma, seed=seed)
+        noise_sigma=levels[split], seed=seed) for split, trajs in _by_split(n_traj, out).items()}
 
 
 def _simulate_reacdiff_batch(x0, rhs, warm_steps, n_fine, keep_every, dt_sim):
@@ -165,15 +183,17 @@ def _simulate_reacdiff_batch(x0, rhs, warm_steps, n_fine, keep_every, dt_sim):
     return euler_fine(rhs, x0, dt_sim, n_fine, keep_every)
 
 
-def gen_reacdiff(n_seq: int = 1920, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
+def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
                  k: float = 5e-3, dt_sim: float = 1e-3, dt_data: float = 0.1,
-                 horizon: float = 2.5, t_init: float = -0.5, seed: int = 0,
-                 split: str = "train") -> Dataset:
+                 horizon: float = 2.5, t_init: float = -0.5,
+                 seed: int = 0) -> dict[str, Dataset]:
     """Reaction-diffusion sequences on a periodic square grid.
 
     Cells start i.i.d. uniform in [0, 1] at ``t_init``; a fine explicit-Euler
     run advances to t=0, then states are kept every ``dt_data`` up to
-    ``horizon``.  A sequence that goes non-finite is resampled and logged.
+    ``horizon``.  If the batch goes non-finite, each sequence is simulated
+    alone, and one that goes non-finite is resampled and logged in its
+    split's ``events``.
     """
     keep_every = round(dt_data / dt_sim)
     if abs(keep_every * dt_sim - dt_data) > 1e-12:
@@ -183,9 +203,10 @@ def gen_reacdiff(n_seq: int = 1920, grid: int = 32, a: float = 1e-3, b: float = 
     n_fine = n_keep * keep_every
     dx = 2.0 / (grid - 1)
     rhs = reacdiff_rhs_np(a, b, k, dx)
-    events: list = []
+    members = _members(n_seq)
+    events: dict = {split: [] for split in SPLITS}
 
-    def one_sequence(i: int) -> np.ndarray:
+    def one_sequence(split: str, i: int) -> np.ndarray:
         for attempt in range(20):
             rng = _stream(seed, split, i, attempt)
             x0 = rng.random((2, grid, grid))
@@ -193,28 +214,28 @@ def gen_reacdiff(n_seq: int = 1920, grid: int = 32, a: float = 1e-3, b: float = 
                 return _simulate_reacdiff_batch(x0, rhs, warm_steps, n_fine,
                                                 keep_every, dt_sim)
             except BlowUpError:
-                events.append({"kind": "resampled_initial_condition",
-                               "sequence": i, "attempt": attempt})
-                log.info("reacdiff sequence %d blew up (attempt %d); resampling",
-                         i, attempt)
-        raise BlowUpError(f"sequence {i}: 20 initial conditions all blew up")
+                events[split].append({"kind": "resampled_initial_condition",
+                                      "sequence": i, "attempt": attempt})
+                log.info("reacdiff %s sequence %d blew up (attempt %d); resampling",
+                         split, i, attempt)
+        raise BlowUpError(f"{split} sequence {i}: 20 initial conditions all blew up")
 
-    x0 = np.stack([_stream(seed, split, i).random((2, grid, grid))
-                   for i in range(n_seq)])
+    x0 = np.stack([_stream(seed, split, i).random((2, grid, grid)) for split, i in members])
     try:
         kept = _simulate_reacdiff_batch(x0, rhs, warm_steps, n_fine, keep_every, dt_sim)
         out = kept.transpose(1, 0, 2, 3, 4)
     except BlowUpError:
-        out = np.stack([one_sequence(i) for i in range(n_seq)])
-    return Dataset(
-        system="reacdiff", split=split, dt=dt_data, trajectories=out,
-        true_params={"a": a, "b": b, "k": k},
-        noise_sigma=0.0, seed=seed, grid={"dx": dx, "bc": "periodic"}, events=events)
+        out = np.stack([one_sequence(split, i) for split, i in members])
+    return {split: Dataset(
+        system="reacdiff", split=split, dt=dt_data, trajectories=seqs,
+        true_params={"a": a, "b": b, "k": k}, noise_sigma=0.0, seed=seed,
+        grid={"dx": dx, "bc": "periodic"}, events=events[split])
+        for split, seqs in _by_split(n_seq, out).items()}
 
 
-def gen_wave(n_seq: int = 250, grid: int = 64, c: float = 330.0, k: float = 50.0,
+def gen_wave(n_seq: dict, grid: int = 64, c: float = 330.0, k: float = 50.0,
              dt: float = 1e-3, n_steps: int = 300, sigma_range=(10.0, 100.0),
-             seed: int = 0, split: str = "train") -> Dataset:
+             seed: int = 0) -> dict[str, Dataset]:
     """Damped-wave sequences from centered Gaussian bumps at rest.
 
     The initial displacement is ``exp(-((x-x0)^2 + (y-y0)^2) / sigma^2)`` with
@@ -231,21 +252,21 @@ def gen_wave(n_seq: int = 250, grid: int = 64, c: float = 330.0, k: float = 50.0
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     r_sq = (xx - center) ** 2 + (yy - center) ** 2
 
-    x0 = np.zeros((n_seq, 2, grid, grid))
-    for i in range(n_seq):
-        rng = _stream(seed, split, i)
-        sigma = rng.uniform(*sigma_range)
-        x0[i, 0] = np.exp(-r_sq / (sigma * sigma))
-    out = np.empty((n_seq, n_steps + 1, 2, grid, grid))
+    members = _members(n_seq)
+    x0 = np.zeros((len(members), 2, grid, grid))
+    for row, (split, i) in enumerate(members):
+        sigma = _stream(seed, split, i).uniform(*sigma_range)
+        x0[row, 0] = np.exp(-r_sq / (sigma * sigma))
+    out = np.empty((len(members), n_steps + 1, 2, grid, grid))
     out[:, 0] = x0
     x = x0
     for step in range(1, n_steps + 1):
         x = rk4_step(rhs, x, dt)
         out[:, step] = x
-    return Dataset(
-        system="wave", split=split, dt=dt,
-        trajectories=out, true_params={"c": c, "k": k}, noise_sigma=0.0, seed=seed,
-        grid={"dx": 1.0, "bc": "neumann_zero"})
+    return {split: Dataset(
+        system="wave", split=split, dt=dt, trajectories=seqs,
+        true_params={"c": c, "k": k}, noise_sigma=0.0, seed=seed,
+        grid={"dx": 1.0, "bc": "neumann_zero"}) for split, seqs in _by_split(n_seq, out).items()}
 
 
 # ---------------------------------------------------------------------------

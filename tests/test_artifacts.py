@@ -42,7 +42,8 @@ def resave_checkpoint(src, dst):
 
 ARTIFACTS = {
     "dataset-field": (
-        lambda path: save_dataset(gen_reacdiff(n_seq=2, grid=8, horizon=0.2, seed=3), path),
+        lambda path: save_dataset(
+            gen_reacdiff({"train": 2}, grid=8, horizon=0.2, seed=3)["train"], path),
         resave_dataset, ("meta.json", "data.bin")),
     "checkpoint-trainable": (
         lambda path: save_checkpoint(AugmentedDynamics(

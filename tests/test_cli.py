@@ -266,9 +266,10 @@ def field_data(path):
     (MlpAugmentation(MlpSpec(hidden=4, depth=1)), field_data, "(B, 2) state batch"),
     (ConvNetAugmentation(ConvNetSpec(hidden_channels=4)), vector_data,
      "(B, 2, H, W) state batch"),
-    (MlpAugmentation(MlpSpec(in_dim=3, hidden=4, depth=1)), vector_data, "(B, 3) state batch"),
-    (ConvNetAugmentation(ConvNetSpec(in_channels=3, hidden_channels=4)), field_data,
-     "(B, 3, H, W) state batch"),
+    (MlpAugmentation(MlpSpec(in_dim=3, hidden=4, depth=1, out_dim=3)), vector_data,
+     "(B, 3) state batch"),
+    (ConvNetAugmentation(ConvNetSpec(in_channels=3, hidden_channels=4, out_channels=3)),
+     field_data, "(B, 3, H, W) state batch"),
 ], ids=["mlp_on_fields", "convnet_on_vectors", "mlp_in_dim_3", "convnet_in_channels_3"])
 def test_evaluate_refuses_states_the_residual_does_not_take(tmp_path, capsys, residual,
                                                             write_data, expected):
@@ -279,6 +280,29 @@ def test_evaluate_refuses_states_the_residual_does_not_take(tmp_path, capsys, re
                  "--data", str(tmp_path / "test"), "--out", str(tmp_path / "eval")])
     assert code == 2
     assert expected in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("residual,write_data,key,message", [
+    (MlpAugmentation(MlpSpec(hidden=4, depth=1)), vector_data, "out_dim",
+     "out_dim 3 differs from in_dim 2"),
+    (ConvNetAugmentation(ConvNetSpec(hidden_channels=4)), field_data, "out_channels",
+     "out_channels 3 differs from in_channels 2"),
+], ids=["mlp", "convnet"])
+def test_evaluate_rejects_a_residual_whose_output_width_differs_from_its_input(
+        tmp_path, capsys, residual, write_data, key, message):
+    # the specs refuse such a residual, so only an edited manifest can hold one
+    save_checkpoint(AugmentedDynamics(None, residual), tmp_path / "checkpoint")
+    manifest_path = tmp_path / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["model"]["augmentation"][key] = 3
+    manifest_path.write_text(json.dumps(manifest))
+    write_data(tmp_path / "test")
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint"),
+                 "--data", str(tmp_path / "test"), "--out", str(tmp_path / "eval")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and message in err
     assert not (tmp_path / "eval").exists()
 
 
@@ -584,10 +608,18 @@ def test_generate_bad_seed_exits_2_and_writes_nothing(tmp_path, capsys, override
     assert not (tmp_path / "data").exists()
 
 
-def test_generate_with_no_sequences_in_any_split_exits_2_and_writes_nothing(tmp_path, capsys):
-    cfg = field_config(tmp_path, "wave", {"n_train": 0, "n_valid": 0, "n_test": 0, "grid": 8})
+@pytest.mark.parametrize("system,write_config", [
+    ("wave", lambda tmp_path: field_config(
+        tmp_path, "wave", {"n_train": 0, "n_valid": 0, "n_test": 0, "grid": 8})),
+    ("pendulum", lambda tmp_path: tiny_pendulum_config(
+        tmp_path, dataset={"n_traj_per_split": 0})),
+])
+def test_generate_with_no_sequences_in_any_split_exits_2_and_writes_nothing(
+        tmp_path, capsys, system, write_config):
+    cfg = write_config(tmp_path)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
-    assert "every wave split has 0 sequences" in capsys.readouterr().err
+    assert f"every {system} split has 0 sequences; nothing to generate" in \
+        capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 
@@ -598,23 +630,19 @@ def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, caps
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
-    assert (tmp_path / "data" / ".partial").exists()
+    assert [p.name for p in (tmp_path / "data").iterdir()] == [".partial"]
 
 
-def test_generate_step_underflow_after_a_written_split_exits_3_and_keeps_it(
-        tmp_path, capsys, monkeypatch):
-    def underflowing_on_valid(**kwargs):
-        if kwargs["split"] == "valid":
-            raise StepUnderflowError("step size underflow in row 0")
-        return gen_pendulum(**kwargs)
+def test_generate_step_underflow_exits_3_and_writes_no_split(tmp_path, capsys, monkeypatch):
+    # every split is simulated in one run, so a failure comes before any save
+    def underflowing(*args, **kwargs):
+        raise StepUnderflowError("step size underflow in row 0")
 
-    monkeypatch.setattr("aphynity.cli.gen_pendulum", underflowing_on_valid)
+    monkeypatch.setattr("aphynity.datagen.dopri5", underflowing)
     cfg = tiny_pendulum_config(tmp_path)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 3
     assert "underflow" in capsys.readouterr().err
-    assert load_dataset(tmp_path / "data" / "train").n_traj == 5
-    assert not (tmp_path / "data" / "valid").exists()
-    assert (tmp_path / "data" / ".partial").exists()
+    assert [p.name for p in (tmp_path / "data").iterdir()] == [".partial"]
 
 
 def test_evaluate_rejects_a_grid_spacing_the_checkpoint_was_not_built_for(tmp_path, capsys):
@@ -749,7 +777,7 @@ LEVEL_VARIANTS = {
 @pytest.mark.parametrize("system,level", sorted(LEVEL_VARIANTS))
 def test_physics_level_builds_its_variant(system, level):
     if system == "pendulum":
-        ds = gen_pendulum(n_traj=1, steps=2)
+        ds = gen_pendulum({"train": 1}, steps=2)["train"]
     else:
         true_params = {"a": 1e-3, "b": 5e-3, "k": 5e-3} if system == "reacdiff" \
             else {"c": 330.0, "k": 50.0}

@@ -7,14 +7,14 @@ import pytest
 from aphynity import datagen
 from aphynity.datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
-    load_dataset, save_dataset, pendulum_rhs_np, reacdiff_rhs_np,
+    load_dataset, save_dataset, pendulum_rhs_np, reacdiff_rhs_np, wave_rhs_np,
 )
-from aphynity.integrators import BlowUpError, euler_fine, rk4_step
+from aphynity.integrators import BlowUpError, dopri5, euler_fine, rk4_step
 from aphynity.physics import laplacian_np
 
 
 def test_pendulum_dataset_shape_and_metadata():
-    ds = gen_pendulum(n_traj=4, steps=40, seed=1)
+    ds = gen_pendulum({"train": 4}, steps=40, seed=1)["train"]
     assert ds.trajectories.shape == (4, 41, 2)
     assert ds.dt == 0.5
     assert ds.true_params["t0_period"] == 12.0
@@ -22,7 +22,7 @@ def test_pendulum_dataset_shape_and_metadata():
 
 
 def test_pendulum_frictionless_noiseless_conserves_energy():
-    ds = gen_pendulum(n_traj=5, steps=40, alpha=0.0, sigma=0.0, seed=2)
+    ds = gen_pendulum({"train": 5}, steps=40, alpha=0.0, sigma=0.0, seed=2)["train"]
     w2 = ds.true_params["omega0_sq"]
     for i in range(ds.n_traj):
         states = ds.trajectories[i]
@@ -31,7 +31,7 @@ def test_pendulum_frictionless_noiseless_conserves_energy():
 
 
 def test_pendulum_damped_amplitude_envelope_decays():
-    ds = gen_pendulum(n_traj=5, steps=40, alpha=0.2, sigma=0.0, seed=3)
+    ds = gen_pendulum({"train": 5}, steps=40, alpha=0.2, sigma=0.0, seed=3)["train"]
     for i in range(ds.n_traj):
         theta = np.abs(ds.trajectories[i, :, 0])
         peaks = [theta[j] for j in range(1, len(theta) - 1)
@@ -42,19 +42,19 @@ def test_pendulum_damped_amplitude_envelope_decays():
 
 
 def test_pendulum_same_seed_reproduces_bytes():
-    a = gen_pendulum(n_traj=3, steps=10, seed=7)
-    b = gen_pendulum(n_traj=3, steps=10, seed=7)
+    a = gen_pendulum({"train": 3}, steps=10, seed=7)["train"]
+    b = gen_pendulum({"train": 3}, steps=10, seed=7)["train"]
     assert a.trajectories.tobytes() == b.trajectories.tobytes()
 
 
 def test_pendulum_trajectories_do_not_depend_on_split_size():
-    few = gen_pendulum(n_traj=3, steps=20, seed=9, split="valid")
-    more = gen_pendulum(n_traj=5, steps=20, seed=9, split="valid")
+    few = gen_pendulum({"valid": 3}, steps=20, seed=9)["valid"]
+    more = gen_pendulum({"valid": 5}, steps=20, seed=9)["valid"]
     assert more.trajectories[:3].tobytes() == few.trajectories.tobytes()
 
 
 def test_pendulum_dopri5_agrees_with_finer_rk4_reference():
-    ds = gen_pendulum(n_traj=3, steps=40, sigma=0.0, seed=5)
+    ds = gen_pendulum({"train": 3}, steps=40, sigma=0.0, seed=5)["train"]
     rhs = pendulum_rhs_np(ds.true_params["omega0_sq"], ds.true_params["alpha"])
     for i in range(ds.n_traj):
         x = ds.trajectories[i, 0].copy()
@@ -67,13 +67,41 @@ def test_pendulum_dopri5_agrees_with_finer_rk4_reference():
 
 
 def test_splits_are_disjoint_and_deterministic():
-    splits = [gen_pendulum(n_traj=3, steps=5, seed=11, split=s)
+    splits = [gen_pendulum({s: 3}, steps=5, seed=11)[s]
               for s in ("train", "valid", "test")]
     for i in range(len(splits)):
         for j in range(i + 1, len(splits)):
             assert not np.array_equal(splits[i].trajectories, splits[j].trajectories)
-    again = gen_pendulum(n_traj=3, steps=5, seed=11, split="valid")
+    again = gen_pendulum({"valid": 3}, steps=5, seed=11)["valid"]
     assert again.trajectories.tobytes() == splits[1].trajectories.tobytes()
+
+
+COUNTS = {"train": 3, "valid": 2, "test": 2}
+
+
+def assert_each_split_equals(splits, simulate_alone):
+    """Every split of one combined run equals, byte for byte, a simulation of
+    that split's streams and nothing else."""
+    assert list(splits) == list(COUNTS)
+    for split, n in COUNTS.items():
+        rngs = [datagen._stream(splits[split].seed, split, i) for i in range(n)]
+        assert splits[split].split == split
+        assert splits[split].trajectories.tobytes() == simulate_alone(split, rngs).tobytes()
+
+
+def test_pendulum_one_run_equals_each_split_simulated_alone():
+    splits = gen_pendulum(COUNTS, steps=10, sigma=0.01, sigma_test=0.03, seed=67)
+    rhs = pendulum_rhs_np(splits["train"].true_params["omega0_sq"], 0.2)
+
+    def simulate_alone(split, rngs):
+        x0 = np.array([[rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-1.0, 1.0)]
+                       for rng in rngs])
+        out = dopri5(rhs, x0, 0.5 * np.arange(11)).transpose(1, 0, 2)
+        sigma = 0.03 if split == "test" else 0.01
+        return np.stack([traj + sigma * rng.standard_normal(traj.shape)
+                         for rng, traj in zip(rngs, out)])
+    assert_each_split_equals(splits, simulate_alone)
+    assert [ds.noise_sigma for ds in splits.values()] == [0.01, 0.01, 0.03]
 
 
 def diffusion_rhs(a, b, dx):
@@ -100,7 +128,7 @@ def test_reacdiff_diffusion_only_conserves_mass():
 
 
 def test_reacdiff_shapes_and_grid_metadata():
-    ds = gen_reacdiff(n_seq=3, grid=10, horizon=0.3, seed=19)
+    ds = gen_reacdiff({"train": 3}, grid=10, horizon=0.3, seed=19)["train"]
     assert ds.trajectories.shape == (3, 4, 2, 10, 10)
     assert ds.grid["bc"] == "periodic"
     assert ds.grid["dx"] == pytest.approx(2.0 / 9.0)
@@ -108,14 +136,26 @@ def test_reacdiff_shapes_and_grid_metadata():
 
 
 def test_reacdiff_same_seed_identical():
-    a = gen_reacdiff(n_seq=2, grid=8, horizon=0.2, seed=23)
-    b = gen_reacdiff(n_seq=2, grid=8, horizon=0.2, seed=23)
+    a = gen_reacdiff({"train": 2}, grid=8, horizon=0.2, seed=23)["train"]
+    b = gen_reacdiff({"train": 2}, grid=8, horizon=0.2, seed=23)["train"]
     assert a.trajectories.tobytes() == b.trajectories.tobytes()
+
+
+def test_reacdiff_one_run_equals_each_split_simulated_alone():
+    grid = 8
+    splits = gen_reacdiff(COUNTS, grid=grid, horizon=0.2, t_init=-0.1, seed=71)
+    rhs = reacdiff_rhs_np(1e-3, 5e-3, 5e-3, 2.0 / (grid - 1))
+
+    def simulate_alone(split, rngs):
+        x0 = np.stack([rng.random((2, grid, grid)) for rng in rngs])
+        warm = euler_fine(rhs, x0, 1e-3, 100, 100)[-1]
+        return euler_fine(rhs, warm, 1e-3, 200, 100).transpose(1, 0, 2, 3, 4)
+    assert_each_split_equals(splits, simulate_alone)
 
 
 def test_reacdiff_rejects_incompatible_step_sizes():
     with pytest.raises(ValueError):
-        gen_reacdiff(n_seq=1, grid=8, dt_sim=3e-4, dt_data=0.1)
+        gen_reacdiff({"train": 1}, grid=8, dt_sim=3e-4, dt_data=0.1)
 
 
 def failing_reacdiff_simulation(monkeypatch, fails):
@@ -131,37 +171,44 @@ def failing_reacdiff_simulation(monkeypatch, fails):
 
 
 def test_reacdiff_resamples_a_sequence_whose_simulation_blows_up(monkeypatch):
-    # the batch blows up, then sequence 1 on its first initial condition only
+    # the combined batch blows up, then train sequence 1 and valid sequence 0
+    # on their first initial conditions only
     seed, grid, a, b, k = 29, 8, 1e-3, 5e-3, 5e-3
-    first_x0 = datagen._stream(seed, "train", 1, 0).random((2, grid, grid))
-    failing_reacdiff_simulation(
-        monkeypatch, lambda x0: x0.ndim == 4 or np.array_equal(x0, first_x0))
-    ds = gen_reacdiff(n_seq=3, grid=grid, a=a, b=b, k=k, horizon=0.2, seed=seed)
-    assert ds.events == [{"kind": "resampled_initial_condition", "sequence": 1,
-                          "attempt": 0}]
+    first_x0s = [datagen._stream(seed, split, i, 0).random((2, grid, grid))
+                 for split, i in (("train", 1), ("valid", 0))]
+    failing_reacdiff_simulation(monkeypatch, lambda x0: x0.ndim == 4 or any(
+        np.array_equal(x0, first) for first in first_x0s))
+    splits = gen_reacdiff({"train": 3, "valid": 2}, grid=grid, a=a, b=b, k=k,
+                          horizon=0.2, seed=seed)
+    assert splits["train"].events == [{"kind": "resampled_initial_condition",
+                                       "sequence": 1, "attempt": 0}]
+    assert splits["valid"].events == [{"kind": "resampled_initial_condition",
+                                       "sequence": 0, "attempt": 0}]
     # a direct simulation: 500 warm-up steps from t=-0.5, then every 100th of 200
     rhs = reacdiff_rhs_np(a, b, k, 2.0 / (grid - 1))
-    for i, attempt in ((0, 0), (1, 1), (2, 0)):
-        x0 = datagen._stream(seed, "train", i, attempt).random((2, grid, grid))
+    for split, i, attempt in (("train", 0, 0), ("train", 1, 1), ("train", 2, 0),
+                              ("valid", 0, 1), ("valid", 1, 0)):
+        x0 = datagen._stream(seed, split, i, attempt).random((2, grid, grid))
         warm = euler_fine(rhs, x0, 1e-3, 500, 500)[-1]
-        np.testing.assert_array_equal(ds.trajectories[i], euler_fine(rhs, warm, 1e-3, 200, 100))
+        np.testing.assert_array_equal(splits[split].trajectories[i],
+                                      euler_fine(rhs, warm, 1e-3, 200, 100))
 
 
 def test_reacdiff_gives_up_after_twenty_initial_conditions(monkeypatch):
     failing_reacdiff_simulation(monkeypatch, lambda x0: True)
     with pytest.raises(BlowUpError, match="sequence 0: 20 initial conditions all blew up"):
-        gen_reacdiff(n_seq=2, grid=8, horizon=0.2, seed=31)
+        gen_reacdiff({"train": 2}, grid=8, horizon=0.2, seed=31)
 
 
 def test_wave_zero_speed_zero_damping_is_constant():
-    ds = gen_wave(n_seq=2, grid=16, c=0.0, k=0.0, n_steps=20, seed=29)
+    ds = gen_wave({"train": 2}, grid=16, c=0.0, k=0.0, n_steps=20, seed=29)["train"]
     for t in range(ds.trajectories.shape[1]):
         np.testing.assert_array_equal(ds.trajectories[:, t], ds.trajectories[:, 0])
 
 
 def test_wave_overdamped_energy_nonincreasing():
-    ds = gen_wave(n_seq=2, grid=32, c=2.0, k=50.0, n_steps=80,
-                  sigma_range=(3.0, 5.0), seed=31)
+    ds = gen_wave({"train": 2}, grid=32, c=2.0, k=50.0, n_steps=80,
+                  sigma_range=(3.0, 5.0), seed=31)["train"]
     for i in range(ds.n_traj):
         w = ds.trajectories[i, :, 0]
         v = ds.trajectories[i, :, 1]
@@ -176,7 +223,7 @@ def test_wave_overdamped_energy_nonincreasing():
 
 
 def test_wave_initial_condition_is_unit_gaussian_at_rest():
-    ds = gen_wave(n_seq=3, grid=32, n_steps=2, seed=37)
+    ds = gen_wave({"train": 3}, grid=32, n_steps=2, seed=37)["train"]
     for i in range(3):
         w0 = ds.trajectories[i, 0, 0]
         assert w0[16, 16] == pytest.approx(1.0)  # centered, amplitude 1
@@ -186,15 +233,35 @@ def test_wave_initial_condition_is_unit_gaussian_at_rest():
 
 
 def test_wave_same_seed_identical():
-    a = gen_wave(n_seq=2, grid=16, n_steps=5, seed=41)
-    b = gen_wave(n_seq=2, grid=16, n_steps=5, seed=41)
+    a = gen_wave({"train": 2}, grid=16, n_steps=5, seed=41)["train"]
+    b = gen_wave({"train": 2}, grid=16, n_steps=5, seed=41)["train"]
     assert a.trajectories.tobytes() == b.trajectories.tobytes()
 
 
+def test_wave_one_run_equals_each_split_simulated_alone():
+    grid, n_steps = 16, 5
+    splits = gen_wave(COUNTS, grid=grid, n_steps=n_steps, seed=73)
+    rhs = wave_rhs_np(330.0, 50.0, order=4)
+    xs = np.arange(grid, dtype=np.float64)
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    r_sq = (xx - grid // 2) ** 2 + (yy - grid // 2) ** 2
+
+    def simulate_alone(split, rngs):
+        x = np.zeros((len(rngs), 2, grid, grid))
+        for row, rng in enumerate(rngs):
+            sigma = rng.uniform(10.0, 100.0)
+            x[row, 0] = np.exp(-r_sq / (sigma * sigma))
+        states = [x]
+        for _ in range(n_steps):
+            states.append(rk4_step(rhs, states[-1], 1e-3))
+        return np.stack(states, axis=1)
+    assert_each_split_equals(splits, simulate_alone)
+
+
 def test_save_load_roundtrip_bit_exact(tmp_path):
-    pendulum = gen_pendulum(n_traj=3, steps=8, seed=43)
+    pendulum = gen_pendulum({"train": 3}, steps=8, seed=43)["train"]
     reacdiff = dataclasses.replace(
-        gen_reacdiff(n_seq=1, grid=8, horizon=0.2, seed=43),
+        gen_reacdiff({"train": 1}, grid=8, horizon=0.2, seed=43)["train"],
         events=[{"kind": "resampled_initial_condition", "sequence": 0, "attempt": 0}])
     assert reacdiff.grid is not None
     for ds in (pendulum, reacdiff):
@@ -214,7 +281,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 
 
 def test_load_fills_a_missing_field_that_has_a_default(tmp_path):
-    save_dataset(gen_pendulum(n_traj=2, steps=4, seed=61), tmp_path / "d")
+    save_dataset(gen_pendulum({"train": 2}, steps=4, seed=61)["train"], tmp_path / "d")
     meta = json.loads((tmp_path / "d" / "meta.json").read_text())
     del meta["grid"], meta["events"]
     (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
@@ -227,7 +294,7 @@ def test_load_fills_a_missing_field_that_has_a_default(tmp_path):
 
 
 def test_load_detects_payload_corruption(tmp_path):
-    ds = gen_reacdiff(n_seq=1, grid=8, horizon=0.2, seed=47)
+    ds = gen_reacdiff({"train": 1}, grid=8, horizon=0.2, seed=47)["train"]
     save_dataset(ds, tmp_path / "d")
     blob = bytearray((tmp_path / "d" / "data.bin").read_bytes())
     blob[100] ^= 0x01
@@ -237,7 +304,7 @@ def test_load_detects_payload_corruption(tmp_path):
 
 
 def test_load_rejects_unknown_version(tmp_path):
-    ds = gen_pendulum(n_traj=2, steps=4, seed=53)
+    ds = gen_pendulum({"train": 2}, steps=4, seed=53)["train"]
     save_dataset(ds, tmp_path / "d")
     meta = (tmp_path / "d" / "meta.json").read_text()
     (tmp_path / "d" / "meta.json").write_text(
@@ -247,7 +314,7 @@ def test_load_rejects_unknown_version(tmp_path):
 
 
 def test_load_detects_truncation(tmp_path):
-    ds = gen_pendulum(n_traj=2, steps=4, seed=59)
+    ds = gen_pendulum({"train": 2}, steps=4, seed=59)["train"]
     save_dataset(ds, tmp_path / "d")
     blob = (tmp_path / "d" / "data.bin").read_bytes()
     (tmp_path / "d" / "data.bin").write_bytes(blob[:-16])

@@ -127,7 +127,7 @@ def test_reported_params_maps_pulsation_to_period():
 
 
 def test_evaluate_true_model_on_noiseless_data():
-    test = gen_pendulum(n_traj=5, steps=40, sigma=0.0, seed=3, split="test")
+    test = gen_pendulum({"test": 5}, steps=40, sigma_test=0.0, seed=3)["test"]
     fam = make_family("pendulum", "omega0_alpha",
                       init={"omega0_sq": test.true_params["omega0_sq"],
                             "alpha": test.true_params["alpha"]}, trainable=False)
@@ -141,7 +141,7 @@ def test_evaluate_true_model_on_noiseless_data():
 
 
 def test_evaluate_reports_param_errors_for_trained_physics():
-    test = gen_pendulum(n_traj=3, steps=10, sigma=0.0, seed=4, split="test")
+    test = gen_pendulum({"test": 3}, steps=10, sigma_test=0.0, seed=4)["test"]
     fam = make_family("pendulum", "omega0_alpha",
                       init={"omega0_sq": test.true_params["omega0_sq"] * 1.1,
                             "alpha": 0.2})
@@ -156,8 +156,8 @@ def test_evaluate_reports_param_errors_for_trained_physics():
 
 
 def test_evaluate_fa_norm_sources():
-    test = gen_pendulum(n_traj=3, steps=8, sigma=0.0, seed=5, split="test")
-    train = gen_pendulum(n_traj=4, steps=8, sigma=0.0, seed=5)
+    test = gen_pendulum({"test": 3}, steps=8, sigma_test=0.0, seed=5)["test"]
+    train = gen_pendulum({"train": 4}, steps=8, sigma=0.0, seed=5)["train"]
     mlp = MlpAugmentation(MlpSpec(hidden=8, depth=1), seed=6)
     model = AugmentedDynamics(None, mlp)
     with_train = evaluate(model, test, horizon=8, train=train)
@@ -171,7 +171,7 @@ def test_evaluate_fa_norm_sources():
 
 
 def test_evaluate_is_deterministic():
-    test = gen_pendulum(n_traj=4, steps=10, sigma=0.01, seed=7, split="test")
+    test = gen_pendulum({"test": 4}, steps=10, sigma_test=0.01, seed=7)["test"]
     fam = make_family("pendulum", "omega0", init={"omega0_sq": 0.3})
     model = AugmentedDynamics(fam, MlpAugmentation(MlpSpec(hidden=8, depth=1), seed=8))
     a = evaluate(model, test, horizon=10, run_id="x")

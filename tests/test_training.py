@@ -51,8 +51,8 @@ def scalar_dataset(a_true=-0.7, n_traj=6, steps=8, dt=0.2, seed=0):
 
 
 def small_pendulum_data(alpha=0.2, sigma=0.0, seed=0, split="train", n_traj=8, steps=20):
-    return gen_pendulum(n_traj=n_traj, steps=steps, alpha=alpha, sigma=sigma,
-                        seed=seed, split=split)
+    return gen_pendulum({split: n_traj}, steps=steps, alpha=alpha, sigma=sigma,
+                        seed=seed)[split]
 
 
 def test_trajectory_loss_zero_for_identical():
@@ -330,7 +330,7 @@ def test_fit_validation_loss_is_evaluates_score_bit_for_bit():
 
 
 def small_reacdiff_model_and_data():
-    data = gen_reacdiff(n_seq=4, grid=16, horizon=0.3, t_init=-0.1, seed=0)
+    data = gen_reacdiff({"train": 4}, grid=16, horizon=0.3, t_init=-0.1, seed=0)["train"]
     fam = make_family("reacdiff", "ab", dx=data.grid["dx"], init={"a": 2e-3, "b": 4e-3})
     net = ConvNetAugmentation(ConvNetSpec(padding="circular"), seed=21)
     return AugmentedDynamics(fam, net), data
