@@ -231,7 +231,8 @@ def pad_boundary(field: np.ndarray, bc: str, width: int = 1, out=None) -> np.nda
     The result equals ``np.pad`` with mode "wrap", "edge" or "constant" bit
     for bit; it is built from slice copies, which avoids ``np.pad``'s fixed
     per-call cost.  Both axes must be at least ``width`` long (a wider wrap
-    would repeat).
+    would repeat).  With ``out``'s own interior as ``field``, it refreshes
+    the ghost cells in place (numpy skips the self-copy).
     """
     if bc not in ("periodic", "neumann_zero", "zero"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -478,6 +479,13 @@ def conv2d(x, kernel, bias=None, padding: str = "zero", norm=None) -> Tensor:
 # ---------------------------------------------------------------------------
 # 5-point Laplacian
 
+def five_point_sum(up, down, left, right, centre, out=None) -> np.ndarray:
+    """``up + down + left + right - 4 centre``, summed in that order, into
+    ``out`` if given: the 5-point stencil, given the four shifted views of a
+    padded field and its centre."""
+    return np.subtract(up + down + left + right, 4.0 * centre, out=out)
+
+
 def laplacian_stencil(field: np.ndarray, bc: str, dx: float) -> np.ndarray:
     """5-point Laplacian of the last two axes of an array.
 
@@ -485,7 +493,8 @@ def laplacian_stencil(field: np.ndarray, bc: str, dx: float) -> np.ndarray:
     its own adjoint.
     """
     p = pad_boundary(field, bc)
-    out = p[..., :-2, 1:-1] + p[..., 2:, 1:-1] + p[..., 1:-1, :-2] + p[..., 1:-1, 2:] - 4.0 * field
+    out = five_point_sum(p[..., :-2, 1:-1], p[..., 2:, 1:-1], p[..., 1:-1, :-2], p[..., 1:-1, 2:],
+                         field)
     return out / (dx * dx)
 
 

@@ -190,20 +190,24 @@ def dopri5(f, x0, t_grid, rtol: float = 1e-8, atol: float = 1e-10,
     return out
 
 
-def euler_fine(f, x0, dt_sim: float, n: int, keep_every: int) -> np.ndarray:
+def euler_fine(f, x0, dt_sim: float, n: int, keep_every: int,
+               kept=lambda x: x) -> np.ndarray:
     """Forward Euler at a fine step, subsampled every ``keep_every`` steps.
 
-    Returns ``(n // keep_every + 1)`` states including ``x0``.
+    Returns ``(n // keep_every + 1)`` states including ``x0``, of which
+    ``kept`` selects the part stored and checked for blow-up.  The state is
+    a copy of ``x0`` updated in place; ``f`` may write its ghost cells.
     """
     if n % keep_every != 0:
         raise ValueError("keep_every must divide n")
     x = np.array(x0, dtype=np.float64)
-    out = np.empty((n // keep_every + 1, *x.shape))
-    out[0] = x
+    out = np.empty((n // keep_every + 1, *kept(x).shape))
+    out[0] = kept(x)
+    buf = np.empty_like(x)
     for step in range(1, n + 1):
-        x = x + dt_sim * f(x)
+        x += np.multiply(f(x), dt_sim, out=buf)
         if step % keep_every == 0:
-            if not np.all(np.isfinite(x)):
+            if not np.all(np.isfinite(kept(x))):
                 raise BlowUpError(f"non-finite state at fine step {step}")
-            out[step // keep_every] = x
+            out[step // keep_every] = kept(x)
     return out

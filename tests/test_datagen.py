@@ -9,8 +9,9 @@ from aphynity.datagen import (
     Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset, pendulum_rhs_np, reacdiff_rhs_np, wave_rhs_np,
 )
+from aphynity.diffcore import Tensor
 from aphynity.integrators import BlowUpError, dopri5, euler_fine, rk4_step
-from aphynity.physics import laplacian_np
+from aphynity.physics import ReactionDiffusionDynamics, laplacian_np
 
 
 def test_pendulum_dataset_shape_and_metadata():
@@ -198,6 +199,88 @@ def test_reacdiff_gives_up_after_twenty_initial_conditions(monkeypatch):
     failing_reacdiff_simulation(monkeypatch, lambda x0: True)
     with pytest.raises(BlowUpError, match="sequence 0: 20 initial conditions all blew up"):
         gen_reacdiff({"train": 2}, grid=8, horizon=0.2, seed=31)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 8, 8), (2, 8, 8)])
+@pytest.mark.parametrize("warm_steps", [0, 30])
+def test_reacdiff_simulation_blows_up_where_euler_fine_does(shape, warm_steps):
+    # a cube that overflows: one entry near 1e103 in one sequence
+    coeffs = (1e-3, 5e-3, 5e-3, 2.0 / 7)
+    x0 = np.random.default_rng(37).random(shape)
+    x0.reshape(-1, 2, 8, 8)[-1, 0, 3, 5] = 2e103
+    rhs = reacdiff_rhs_np(*coeffs)
+
+    def reference():
+        x = x0
+        if warm_steps > 0:
+            x = euler_fine(rhs, x, 1e-3, warm_steps, warm_steps)[-1]
+        return euler_fine(rhs, x, 1e-3, 40, 20)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as expected:
+            reference()
+        with pytest.raises(BlowUpError) as raised:
+            datagen._simulate_reacdiff_batch(x0, coeffs, warm_steps, 40, 20, 1e-3)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == f"non-finite state at fine step {warm_steps or 20}"
+
+
+def test_reacdiff_rhs_agrees_with_the_physical_family():
+    # both take the cube as a product; they differ only in how they group the
+    # sum, so by a few ulps of the sum of the terms' magnitudes
+    rng = np.random.default_rng(41)
+    dx = 2.0 / 15
+    family = ReactionDiffusionDynamics("abk", init={"a": 1e-3, "b": 5e-3, "k": 5e-3}, dx=dx)
+    p = family.param_values()
+    for scale in (0.1, 1.0, 3.0):
+        x = scale * rng.uniform(-1.0, 1.0, (4, 2, 16, 16))
+        ours = reacdiff_rhs_np(**p, dx=dx)(x)
+        theirs = family.rhs(Tensor(x)).values
+        u, v = np.abs(x[:, 0]), np.abs(x[:, 1])
+        diffusion = [np.abs(laplacian_np(x[:, c], "periodic", dx)) for c in (0, 1)]
+        terms = np.stack([p["a"] * diffusion[0] + u + u ** 3 + p["k"] + v,
+                          p["b"] * diffusion[1] + u + v], axis=1)
+        assert np.all(np.abs(ours - theirs) <= 4 * np.spacing(terms))
+
+
+def split_bytes(splits):
+    return {split: (ds.trajectories.tobytes(), ds.events) for split, ds in splits.items()}
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_field_chunk_size_changes_no_bits(monkeypatch, rows):
+    reacdiff = dict(grid=8, horizon=0.2, t_init=-0.1, seed=43)
+    wave = dict(grid=16, n_steps=5, seed=47)
+    default = (split_bytes(gen_reacdiff(COUNTS, **reacdiff)),
+               split_bytes(gen_wave(COUNTS, **wave)))
+    monkeypatch.setattr(datagen, "_CHUNK_BYTES", rows * 2 * 8 * 8 * 8)
+    reacdiff_chunked = split_bytes(gen_reacdiff(COUNTS, **reacdiff))
+    monkeypatch.setattr(datagen, "_CHUNK_BYTES", rows * 2 * 16 * 16 * 8)
+    assert datagen._chunks(7, (2, 16, 16)) == [slice(lo, lo + rows) for lo in range(0, 7, rows)]
+    assert (reacdiff_chunked, split_bytes(gen_wave(COUNTS, **wave))) == default
+
+
+@pytest.mark.parametrize("rows", [1, 2, 256])
+def test_reacdiff_blow_up_of_one_chunk_resamples_as_before(monkeypatch, rows):
+    # the chunk holding train sequence 1 blows up, then that sequence alone
+    # on its first initial condition; 256 rows of 2x8x8 is the default
+    seed, grid = 53, 8
+    first = datagen._stream(seed, "train", 1, 0).random((2, grid, grid))
+    failing_reacdiff_simulation(monkeypatch, lambda x0: any(
+        np.array_equal(row, first) for row in x0.reshape(-1, 2, grid, grid)))
+    monkeypatch.setattr(datagen, "_CHUNK_BYTES", rows * 2 * grid * grid * 8)
+    splits = gen_reacdiff(COUNTS, grid=grid, horizon=0.2, t_init=-0.1, seed=seed)
+    assert splits["train"].events == [{"kind": "resampled_initial_condition",
+                                       "sequence": 1, "attempt": 0}]
+    assert splits["valid"].events == splits["test"].events == []
+    rhs = reacdiff_rhs_np(1e-3, 5e-3, 5e-3, 2.0 / (grid - 1))
+    for split, n in COUNTS.items():
+        for i in range(n):
+            x0 = datagen._stream(seed, split, i, int((split, i) == ("train", 1))).random(
+                (2, grid, grid))
+            warm = euler_fine(rhs, x0, 1e-3, 100, 100)[-1]
+            np.testing.assert_array_equal(splits[split].trajectories[i],
+                                          euler_fine(rhs, warm, 1e-3, 200, 100))
 
 
 def test_wave_zero_speed_zero_damping_is_constant():
