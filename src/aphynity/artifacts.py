@@ -5,6 +5,10 @@ little-endian float64 values.  Next to its owner's fields the header carries
 ``format_version``, ``payload_bytes`` and ``payload_crc32``; it is written
 with sorted keys, so equal contents give equal bytes.  Every way the pair can
 be missing, unreadable or inconsistent is raised as the owner's error type.
+
+Opening an artifact checks the payload's length and CRC32 in one streaming
+pass and hands back a :class:`Payload`, which reads the file again on
+request: whole (checkpoints) or at computed offsets (dataset blocks).
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["save_artifact", "load_artifact", "describing"]
+__all__ = ["Payload", "save_artifact", "open_artifact", "load_artifact", "describing"]
+
+# Bytes the streaming CRC pass reads at a time
+_CHECK_BYTES = 1 << 16
 
 
 def save_artifact(path, header_name: str, payload_name: str, header: dict,
@@ -41,9 +48,48 @@ def describing(header_name: str, payload_name: str, error: type[Exception]):
                     f"{type(exc).__name__}: {exc}") from exc
 
 
-def load_artifact(path, header_name: str, payload_name: str, version: int,
-                  error: type[Exception]) -> tuple[dict, np.ndarray]:
-    """The checked header and the payload as a flat float64 array."""
+class Payload:
+    """A payload file whose length and CRC32 matched its header when it was
+    opened.  It is not checked again: a read that finds fewer bytes than it
+    asks for raises ``error`` ("... is truncated")."""
+
+    def __init__(self, path: Path, size: int, error: type[Exception]):
+        self.path, self.size, self.error = path, size, error
+
+    @contextmanager
+    def reader(self):
+        """``read(out, offset)``, which fills the C-contiguous array ``out``
+        with the payload's bytes from byte ``offset`` on."""
+        name = self.path.name
+        try:
+            fh = open(self.path, "rb")
+        except OSError as exc:
+            raise self.error(f"cannot read {name}: {exc}") from exc
+
+        def read(out: np.ndarray, offset: int) -> None:
+            try:
+                fh.seek(offset)
+                n_read = fh.readinto(memoryview(out).cast("B"))
+            except OSError as exc:
+                raise self.error(f"cannot read {name}: {exc}") from exc
+            if n_read != out.nbytes:
+                raise self.error(f"{name} is truncated")
+
+        with fh:
+            yield read
+
+    def read_all(self) -> np.ndarray:
+        """The whole payload as a flat float64 array."""
+        values = np.empty(self.size // 8, dtype="<f8")
+        with self.reader() as read:
+            read(values, 0)
+        return values.astype(np.float64, copy=False)
+
+
+def open_artifact(path, header_name: str, payload_name: str, version: int,
+                  error: type[Exception]) -> tuple[dict, Payload]:
+    """The checked header and a handle on its payload, whose length and CRC32
+    are checked here, ``_CHECK_BYTES`` at a time."""
     path = Path(path)
     header_path = path / header_name
     if not header_path.exists():
@@ -58,16 +104,26 @@ def load_artifact(path, header_name: str, payload_name: str, version: int,
         raise error(f"{header_name} holds a {type(header).__name__}, not a JSON object")
     if header.get("format_version") != version:
         raise error(f"unsupported {header_name} version {header.get('format_version')!r}")
-    try:  # read straight into the array, so the payload is held once
-        size = (path / payload_name).stat().st_size
-        values = np.empty(size // 8, dtype="<f8")
+    chunk = bytearray(_CHECK_BYTES)
+    view = memoryview(chunk)
+    crc = size = 0
+    try:
         with open(path / payload_name, "rb") as fh:
-            n_read = fh.readinto(values)
+            while n_read := fh.readinto(chunk):
+                crc = zlib.crc32(view[:n_read], crc)
+                size += n_read
     except OSError as exc:
         raise error(f"cannot read {payload_name}: {exc}") from exc
     with describing(header_name, payload_name, error):
-        if size != header["payload_bytes"] or n_read != size:
+        if size != header["payload_bytes"] or size % 8:
             raise error(f"{payload_name} is truncated")
-        if zlib.crc32(values) != header["payload_crc32"]:
+        if crc != header["payload_crc32"]:
             raise error(f"{payload_name} failed its checksum")
-    return header, values.astype(np.float64, copy=False)
+    return header, Payload(path / payload_name, size, error)
+
+
+def load_artifact(path, header_name: str, payload_name: str, version: int,
+                  error: type[Exception]) -> tuple[dict, np.ndarray]:
+    """The checked header and the payload as a flat float64 array."""
+    header, payload = open_artifact(path, header_name, payload_name, version, error)
+    return header, payload.read_all()

@@ -15,18 +15,21 @@ neither the other splits nor the batch can change a sequence's data.
 A dataset on disk is an artifact (see :mod:`aphynity.artifacts`):
 ``meta.json`` carries the recipe and the array's shape; ``data.bin`` holds the
 trajectories laid out ``[trajectory][time][channel][row][col]`` (vectors
-store the channel axis only).
+store the channel axis only).  A loaded split keeps ``data.bin`` on disk:
+``Dataset.blocks`` reads it a block of time steps at a time, and the whole
+array is read only when ``trajectories`` is first used.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .artifacts import describing, load_artifact, save_artifact
+from .artifacts import Payload, describing, open_artifact, save_artifact
 from .diffcore.ops import five_point_sum, pad_boundary
 from .integrators import BlowUpError, dopri5, euler_fine, rk4_step
 from .physics import laplacian_np
@@ -44,10 +47,19 @@ SPLITS = ("train", "valid", "test")  # simulation order; the index is the stream
 # State bytes per chunk of rows that a field simulator advances together, so
 # that its working set stays in cache: 16 rows of 2x32x32, 4 of 2x64x64
 _CHUNK_BYTES = 1 << 18
+# Bytes of the buffer ``Dataset.blocks`` reads states into; it holds at least one time step
+_BLOCK_BYTES = 1 << 20
 
 
 class DatasetError(RuntimeError):
     """Dataset directory is missing, corrupt, or from an unknown version."""
+
+
+@dataclass(frozen=True)
+class _StoredStates:
+    """States left on disk: ``payload`` holds them C-ordered as ``shape``."""
+    payload: Payload
+    shape: tuple[int, ...]
 
 
 @dataclass
@@ -63,14 +75,19 @@ class Dataset:
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
+        if isinstance(self.trajectories, _StoredStates):
+            # opened by load_dataset: read whole on first use (see __getattr__)
+            self._stored = self.__dict__.pop("trajectories")
+        else:
+            self._stored = None
+            self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
         if self.split not in SPLITS:
             raise ValueError(f"unknown split {self.split!r}")
-        if self.trajectories.ndim not in (3, 5):
+        if len(self._shape) not in (3, 5):
             raise ValueError(
-                f"trajectories of rank {self.trajectories.ndim}: need (N, T+1, d) "
+                f"trajectories of rank {len(self._shape)}: need (N, T+1, d) "
                 "vector or (N, T+1, C, H, W) field states")
-        if self.trajectories.shape[1] < 2:
+        if self._shape[1] < 2:
             raise ValueError("trajectories need at least two states")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
@@ -79,17 +96,30 @@ class Dataset:
         if not isinstance(self.grid, (dict, type(None))):
             raise TypeError(f"grid is neither a dict nor None: {self.grid!r}")
 
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the trajectories
+        # of a split opened from disk, before their first use
+        stored = self.__dict__.get("_stored")
+        if name != "trajectories" or stored is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.trajectories = stored.payload.read_all().reshape(stored.shape)
+        return self.trajectories
+
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return self.trajectories.shape if self._stored is None else self._stored.shape
+
     @property
     def n_traj(self) -> int:
-        return self.trajectories.shape[0]
+        return self._shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.trajectories.shape[1] - 1
+        return self._shape[1] - 1
 
     @property
     def state_shape(self) -> tuple[int, ...]:
-        return self.trajectories.shape[2:]
+        return self._shape[2:]
 
     @property
     def state_kind(self) -> str:
@@ -97,6 +127,28 @@ class Dataset:
 
     def all_states(self) -> np.ndarray:
         return self.trajectories.reshape(-1, *self.state_shape)
+
+    def blocks(self, n_states: int, rows: slice = slice(None)):
+        """Yield ``(t, states)`` for times ``0..n_states-1`` of the trajectories
+        ``rows``, in order: ``states`` holds times ``t, t+1, ...`` as an
+        (n_rows, k, ...) view of one buffer of ``_BLOCK_BYTES`` (or of one time
+        step), which the next block overwrites and the caller may overwrite
+        too.  A split not yet read whole reads a block from ``data.bin`` with
+        one read per trajectory."""
+        index = range(self.n_traj)[rows]
+        state_bytes = 8 * math.prod(self.state_shape)
+        buf = np.empty((len(index), max(1, _BLOCK_BYTES // (len(index) * state_bytes)),
+                        *self.state_shape), dtype="<f8")  # the byte order of data.bin
+        on_disk = "trajectories" not in self.__dict__
+        with self._stored.payload.reader() if on_disk else nullcontext() as read:
+            for t in range(0, n_states, buf.shape[1]):
+                block = buf[:, :n_states - t]
+                if on_disk:
+                    for out, i in zip(block, index):
+                        read(out, (i * self._shape[1] + t) * state_bytes)
+                else:
+                    block[...] = self.trajectories[rows, t:t + block.shape[1]]
+                yield t, block
 
 
 def _stream(seed: int, split: str, index: int, attempt: int = 0) -> np.random.Generator:
@@ -342,13 +394,22 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    meta, values = load_artifact(path, "meta.json", "data.bin", DATASET_VERSION, DatasetError)
+    """The split saved under ``path``, its CRC checked here, once.
+
+    Its shape and recipe come from ``meta.json``; its states stay in
+    ``data.bin`` until read, block by block (``Dataset.blocks``) or whole on
+    the first use of ``trajectories``.  A read that finds ``data.bin``
+    shorter than it was here raises ``DatasetError``."""
+    meta, payload = open_artifact(path, "meta.json", "data.bin", DATASET_VERSION, DatasetError)
     with describing("meta.json", "data.bin", DatasetError):
         shape = (meta["n_traj"], meta["n_states"], *meta["state_shape"])
         if min(shape) < 1:
             raise ValueError(f"non-positive dimension in {shape}")
+        if 8 * math.prod(shape) != payload.size:
+            raise ValueError(f"cannot reshape array of size {payload.size // 8} "
+                             f"into shape {shape}")
         # every field save_dataset wrote; a field with a default may be absent
-        ds = Dataset(trajectories=values.reshape(shape),
+        ds = Dataset(trajectories=_StoredStates(payload, shape),
                      **{f.name: meta[f.name] for f in fields(Dataset) if f.name in meta})
         if ds.state_kind != meta["state_kind"]:
             raise ValueError(f"state_kind {meta['state_kind']!r} disagrees with "

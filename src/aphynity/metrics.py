@@ -5,7 +5,8 @@ fixed-step training solver at the dataset resolution and scores base-10 log
 mean squared error over a fixed horizon, physical-parameter error
 percentages, and the residual norm over the training states.
 
-``squared_errors`` (a streamed no-grad rollout) and ``residual_norm_sq`` (a
+``squared_errors`` (a streamed no-grad rollout, scored against truth read a
+block of time steps at a time) and ``residual_norm_sq`` (a
 no-grad |F_a|^2 pass over a split) serve ``evaluate`` and the end of every
 ``training.fit`` epoch alike.
 
@@ -128,21 +129,29 @@ def residual_norm_sq(model: AugmentedDynamics, data) -> float:
         return float(augmentation_norm_sq(model.augmentation, data.all_states()).values)
 
 
-def squared_errors(model: AugmentedDynamics, truth: np.ndarray, horizon: int,
-                   dt: float) -> np.ndarray:
+def squared_errors(model: AugmentedDynamics, data, horizon: int,
+                   rows: slice = slice(None)) -> np.ndarray:
     """Each trajectory's summed squared error over forecast steps 1..horizon.
 
-    ``truth`` is (N, T+1, ...), rolled out from ``truth[:, 0]`` for all T
-    steps, so a blow-up anywhere raises ``BlowUpError``.  Only the current
-    state is kept; no temporary outgrows one state batch."""
-    sums = np.zeros(truth.shape[0])
+    The trajectories ``rows`` of the split ``data`` are rolled out from their
+    initial states for all ``data.n_steps`` steps, so a blow-up anywhere
+    raises ``BlowUpError``.  Truth is read up to ``horizon`` only, a block of
+    time steps at a time (``Dataset.blocks``), and each step's error is
+    formed in place in the block, so a step allocates nothing but the
+    rollout's state."""
+    sums = np.zeros(len(range(data.n_traj)[rows]))
     with dc.no_grad():
-        x = Tensor(truth[:, 0])
-        for t in range(1, truth.shape[1]):
-            x = integrate(model.rhs, x, 1, dt)[1]
-            if t <= horizon:
-                err = np.subtract(x.values, truth[:, t])
+        for t0, block in data.blocks(horizon + 1, rows):
+            for t in range(t0, t0 + block.shape[1]):
+                truth = block[:, t - t0]
+                if t == 0:  # a copy: the next block overwrites the buffer
+                    x = Tensor(truth.copy())
+                    continue
+                x = integrate(model.rhs, x, 1, data.dt)[1]
+                err = np.subtract(x.values, truth, out=truth)
                 sums += np.square(err, out=err).reshape(len(sums), -1).sum(axis=1)
+        for _ in range(horizon, data.n_steps):
+            x = integrate(model.rhs, x, 1, data.dt)[1]
     return sums
 
 
@@ -156,29 +165,30 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
     blows up, trajectories are retried one by one and the diverging ones are
     excluded and counted.  ``log_mse`` is log10 of the kept trajectories'
     mean squared error over steps 1..horizon, ``-inf`` for a perfect forecast.
-    Scoring streams: each step is scored as it is made, so besides the test
-    data evaluation holds one state batch and one model pass's scratch,
-    whatever the trajectory length.  A parameter whose true value is 0 has
-    no percentage error and is left out of the average.  The residual norm
-    is computed over ``train``'s states when given, else taken from
-    ``fa_norm_sq`` (a value recorded at train time), else left unset.
+    Scoring streams: each step is scored as it is made, against truth read a
+    block of time steps at a time (``squared_errors``), so besides one block
+    evaluation holds one state batch and one model pass's scratch, whatever
+    the length or size of the test split.  A parameter whose true value is 0
+    has no percentage error and is left out of the average.  The residual
+    norm is computed over ``train``'s states when given (the whole split is
+    read), else taken from ``fa_norm_sq`` (a value recorded at train time),
+    else left unset.
     """
     if horizon < 1 or horizon > test.n_steps:
         raise ValueError(f"horizon {horizon} outside 1..{test.n_steps}")
-    truth = test.trajectories
     try:
-        sums = squared_errors(model, truth, horizon, test.dt)
+        sums = squared_errors(model, test, horizon)
     except BlowUpError:
         sums = []
-        for i in range(len(truth)):
+        for i in range(test.n_traj):
             try:
-                sums.append(squared_errors(model, truth[i:i + 1], horizon, test.dt))
+                sums.append(squared_errors(model, test, horizon, rows=slice(i, i + 1)))
             except BlowUpError:
                 pass
         if not sums:
             raise
         sums = np.concatenate(sums)
-    mse = sums.sum() / (len(sums) * horizon * math.prod(truth.shape[2:]))
+    mse = sums.sum() / (len(sums) * horizon * math.prod(test.state_shape))
     lm = float("-inf") if mse == 0 else math.log10(mse)
 
     desc = model.describe()
@@ -211,7 +221,7 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
         physics=physics, augmentation=augmentation, mode=mode, seed=seed,
         horizon=horizon, log_mse=lm, param_err_pct=errors, param_err_avg_pct=avg,
         fa_norm_sq=norm_val, fa_norm_source=norm_src,
-        excluded_trajectories=len(truth) - len(sums), estimated_params=estimated)
+        excluded_trajectories=test.n_traj - len(sums), estimated_params=estimated)
 
 
 def write_metrics_csv(records, path) -> None:

@@ -14,7 +14,8 @@ loss bit for bit.
 
 The epoch-end passes build no graph: the whole-split trajectory losses and
 |residual|^2 are ``metrics.squared_errors`` and ``metrics.residual_norm_sq``,
-the scorers ``evaluate`` uses, so a rollout holds one state batch at a time.
+the scorers ``evaluate`` uses, so a rollout holds one state batch at a time
+and reads the validation split a block of time steps at a time.
 
 Ablation modes:
 
@@ -248,10 +249,10 @@ def _constraint_loss(model, batch, dt, mode):
 def _split_mse(model, data, on_blow_up: float) -> float:
     """The whole split's trajectory MSE, or ``on_blow_up`` if it blows up."""
     try:
-        sums = squared_errors(model, data.trajectories, data.n_steps, data.dt)
+        sums = squared_errors(model, data, data.n_steps)
     except BlowUpError:
         return on_blow_up
-    return float(sums.sum() / data.trajectories[:, 1:].size)
+    return float(sums.sum() / (data.n_traj * data.n_steps * math.prod(data.state_shape)))
 
 
 def _eval_constraint(model, data, mode) -> float:
@@ -265,8 +266,9 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
     """Train the model on a dataset; returns the per-epoch report.
 
     ``train``/``valid`` are :class:`aphynity.datagen.Dataset` objects (or
-    anything exposing ``trajectories``, ``dt``, ``n_steps``,
-    ``all_states()``).  Divergence (non-finite loss) aborts and is flagged on
+    anything exposing their ``trajectories``, ``dt``, shape properties,
+    ``all_states()`` and ``blocks()``); ``valid`` is only read block by
+    block.  Divergence (non-finite loss) aborts and is flagged on
     the report rather than raised.  When early stopping triggers, parameters
     are restored to the best-validation epoch.  Each epoch ends with no-grad
     passes through metrics' streamed scorer (the ``full`` constraint and the

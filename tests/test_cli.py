@@ -395,6 +395,45 @@ def test_evaluate_missing_payload_file_exits_4(tmp_path, capsys, missing):
     assert f"cannot read {missing.rsplit('/', 1)[1]}" in capsys.readouterr().err
 
 
+def one_epoch_run(tmp_path):
+    """A tiny pendulum dataset under ``data`` and a one-epoch run under ``run``."""
+    cfg = tiny_pendulum_config(tmp_path, train={"n_epochs": 1, "n_iter": 1, "tau1": 0.02,
+                                                "optimizer": "adam", "patience": None})
+    main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+          "--out", str(tmp_path / "run")])
+
+
+def test_evaluate_of_a_payload_truncated_after_loading_exits_4(tmp_path, capsys, monkeypatch):
+    one_epoch_run(tmp_path)
+
+    def load_then_truncate(path):
+        ds = load_dataset(path)
+        (path / "data.bin").write_bytes((path / "data.bin").read_bytes()[:-8])
+        return ds
+
+    monkeypatch.setattr("aphynity.cli.load_dataset", load_then_truncate)
+    capsys.readouterr()
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"), "--out", str(tmp_path / "eval")])
+    assert code == 4
+    assert "data.bin is truncated" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.csv").exists()
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+def test_evaluate_reads_the_test_split_block_by_block(tmp_path, monkeypatch):
+    one_epoch_run(tmp_path)
+    loaded = []
+    monkeypatch.setattr("aphynity.cli.load_dataset", lambda path: loaded.append(
+        load_dataset(path)) or loaded[-1])
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    # neither the compatibility check nor scoring reads the split whole
+    assert len(loaded) == 1 and "trajectories" not in vars(loaded[0])
+
+
 def header_not_object(path):
     path.write_text("[1, 2]")
 

@@ -11,7 +11,9 @@ from aphynity.datagen import (
 )
 from aphynity.diffcore import Tensor
 from aphynity.integrators import BlowUpError, dopri5, euler_fine, rk4_step
-from aphynity.physics import ReactionDiffusionDynamics, laplacian_np
+from aphynity.metrics import evaluate
+from aphynity.models import AugmentedDynamics
+from aphynity.physics import ReactionDiffusionDynamics, laplacian_np, make_family
 
 
 def test_pendulum_dataset_shape_and_metadata():
@@ -403,6 +405,31 @@ def test_load_detects_truncation(tmp_path):
     (tmp_path / "d" / "data.bin").write_bytes(blob[:-16])
     with pytest.raises(DatasetError, match="truncated"):
         load_dataset(tmp_path / "d")
+
+
+def test_a_payload_truncated_after_loading_raises_when_read(tmp_path):
+    # the CRC is checked once, when the split is opened; later reads check their length
+    ds = gen_pendulum({"test": 3}, steps=4, seed=67)["test"]
+    save_dataset(ds, tmp_path / "d")
+    loaded = load_dataset(tmp_path / "d")
+    blob = (tmp_path / "d" / "data.bin").read_bytes()
+    (tmp_path / "d" / "data.bin").write_bytes(blob[:len(blob) // 2])
+    model = AugmentedDynamics(make_family("pendulum", "omega0", init={"omega0_sq": 0.3}), None)
+    with pytest.raises(DatasetError, match="data.bin is truncated"):
+        evaluate(model, loaded, horizon=4)
+    with pytest.raises(DatasetError, match="data.bin is truncated"):
+        loaded.trajectories
+
+
+def test_load_reads_the_shape_from_the_header_and_the_states_on_first_use(tmp_path):
+    ds = gen_pendulum({"valid": 3}, steps=4, seed=71)["valid"]
+    save_dataset(ds, tmp_path / "d")
+    loaded = load_dataset(tmp_path / "d")
+    assert (loaded.n_traj, loaded.n_steps, loaded.state_shape, loaded.state_kind) == \
+        (3, 4, (2,), "vector")
+    assert "trajectories" not in vars(loaded)
+    assert loaded.trajectories.tobytes() == ds.trajectories.tobytes()
+    assert loaded.trajectories is loaded.trajectories  # read once and kept
 
 
 def test_load_missing_directory(tmp_path):

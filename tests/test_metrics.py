@@ -9,8 +9,9 @@ import pytest
 
 import aphynity
 import aphynity.diffcore as dc
-from aphynity.augments import MlpAugmentation, MlpSpec
-from aphynity.datagen import Dataset, gen_pendulum
+from aphynity import datagen
+from aphynity.augments import ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec
+from aphynity.datagen import Dataset, gen_pendulum, gen_wave, load_dataset, save_dataset
 from aphynity.diffcore import Tensor
 from aphynity.integrators import integrate
 from aphynity.metrics import (
@@ -69,8 +70,8 @@ def test_batched_and_one_by_one_scoring_agree_bit_for_bit():
     # with no batch norm in the model, a trajectory's forecast and its
     # squared-error sum do not depend on the batch it is scored in
     model, ds = field_model_and_data(n_traj=4, n_steps=5)
-    batched = squared_errors(model, ds.trajectories, 4, ds.dt)
-    alone = [squared_errors(model, ds.trajectories[i:i + 1], 4, ds.dt)[0] for i in range(4)]
+    batched = squared_errors(model, ds, 4)
+    alone = [squared_errors(model, ds, 4, rows=slice(i, i + 1))[0] for i in range(4)]
     assert np.array_equal(batched, alone)
 
 
@@ -84,6 +85,72 @@ def test_evaluate_memory_does_not_grow_with_trajectory_length():
         peaks.append(peak)
     state_batch = ds.trajectories[:, 0].nbytes
     assert abs(peaks[1] - peaks[0]) < state_batch
+
+
+def pendulum_split_and_model():
+    test = gen_pendulum({"test": 5}, steps=12, sigma_test=0.01, seed=11)["test"]
+    fam = make_family("pendulum", "omega0", init={"omega0_sq": 0.3})
+    return test, AugmentedDynamics(fam, MlpAugmentation(MlpSpec(hidden=8, depth=1), seed=12))
+
+
+def wave_split_and_model():
+    # batch norm in the residual: a trajectory's forecast depends on its batch
+    test = gen_wave({"test": 3}, grid=16, n_steps=6, seed=13)["test"]
+    fam = make_family("wave", "c", init={"c": 300.0})
+    return test, AugmentedDynamics(fam, ConvNetAugmentation(ConvNetSpec(padding="zero"), seed=14))
+
+
+@pytest.mark.parametrize("block_bytes", [8, datagen._BLOCK_BYTES], ids=["one_step", "default"])
+@pytest.mark.parametrize("blow_up", [False, True], ids=["batch", "one_by_one"])
+@pytest.mark.parametrize("make", [pendulum_split_and_model, wave_split_and_model],
+                         ids=["vector", "field"])
+def test_a_split_on_disk_scores_as_the_same_split_in_memory(
+        tmp_path, monkeypatch, make, blow_up, block_bytes):
+    monkeypatch.setattr(datagen, "_BLOCK_BYTES", block_bytes)
+    test, model = make()
+    if blow_up:  # overflows in the first RK4 step, so the retry reads rows from disk
+        test.trajectories[1, 0].flat[0] = 1e308
+    save_dataset(test, tmp_path / "test")
+    stored = load_dataset(tmp_path / "test")
+    horizon = test.n_steps - 2
+    with np.errstate(all="ignore"):
+        in_memory = evaluate(model, test, horizon)
+        on_disk = evaluate(model, stored, horizon)
+    assert "trajectories" not in vars(stored)  # scored without reading it whole
+    assert on_disk.excluded_trajectories == in_memory.excluded_trajectories == int(blow_up)
+    assert on_disk.to_json_dict() == in_memory.to_json_dict()
+    assert np.isfinite(on_disk.log_mse)
+    assert np.array_equal(squared_errors(model, stored, horizon, rows=slice(0, 1)),
+                          squared_errors(model, test, horizon, rows=slice(0, 1)))
+
+
+def stored_field_split(path, n_traj, n_steps):
+    model, ds = field_model_and_data(n_traj=n_traj, n_steps=n_steps)
+    save_dataset(ds, path)
+    return model
+
+
+def test_scoring_a_split_on_disk_holds_one_block_whatever_its_length(tmp_path, monkeypatch):
+    # loading the split whole would grow the peak by the 4 x 20 added states
+    model = stored_field_split(tmp_path / "short", n_traj=4, n_steps=20)
+    stored_field_split(tmp_path / "long", n_traj=4, n_steps=40)
+    block = 2 * 4 * 2 * 16 * 16 * 8  # two time steps of the four trajectories
+    monkeypatch.setattr(datagen, "_BLOCK_BYTES", block)
+    peaks = {}
+    for name in ("short", "long"):
+        peaks[name], _ = peak_bytes(lambda: evaluate(model, load_dataset(tmp_path / name),
+                                                     horizon=20))
+    assert peaks["long"] - peaks["short"] < block
+
+
+def test_load_dataset_holds_no_array_the_size_of_its_payload(tmp_path):
+    stored_field_split(tmp_path / "d", n_traj=8, n_steps=40)
+    payload = (tmp_path / "d" / "data.bin").stat().st_size
+    header = (tmp_path / "d" / "meta.json").stat().st_size
+    assert payload > datagen._BLOCK_BYTES
+    peak, ds = peak_bytes(lambda: load_dataset(tmp_path / "d"))
+    assert peak < datagen._BLOCK_BYTES + header
+    assert (ds.n_traj, ds.n_steps, ds.state_shape) == (8, 40, (2, 16, 16))
 
 
 def test_metrics_does_not_import_training():
