@@ -112,9 +112,9 @@ class ConvNetAugmentation:
             self._norms.append((g, s))
 
     def check_batch(self, shape: tuple) -> None:
-        if len(shape) != 4 or shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"expected (B, {self.spec.in_channels}, H, W) state batch, got {shape}")
+        if len(shape) != 4 or shape[1] != self.spec.in_channels or min(shape[2:]) < 3:
+            raise ValueError(f"expected (B, {self.spec.in_channels}, H, W) state batch "
+                             f"with H, W >= 3, got {shape}")
 
     def __call__(self, x: Tensor) -> Tensor:
         self.check_batch(x.shape)

@@ -247,6 +247,7 @@ def _train_one_seed(cfg: dict, data_dir: Path, out_dir: Path, seed: int) -> int:
     valid_path = data_dir / "valid"
     valid_ds = load_dataset(valid_path) if (valid_path / "meta.json").exists() else None
     model = build_model(cfg, train_ds, seed)
+    _check_residual(model, train_ds, "the config's residual cannot train on")
     tc = TrainConfig(mode=cfg["mode"], seed=seed, **cfg["train"])
     marker = _mark_partial(out_dir)
     report = fit(model, train_ds, tc, valid=valid_ds)
@@ -359,11 +360,16 @@ def _check_compatibility(model: AugmentedDynamics, ds: Dataset) -> None:
         if fam.dx is not None and data_dx is not None and not math.isclose(fam.dx, data_dx):
             raise UsageError(f"checkpoint's physics has grid spacing dx={fam.dx:.6g}, "
                              f"data has dx={data_dx:.6g}")
+    _check_residual(model, ds, "checkpoint's residual cannot evaluate")
+
+
+def _check_residual(model: AugmentedDynamics, ds: Dataset, refusal: str) -> None:
+    """The residual's own input check, on the data's state batch shape."""
     if model.augmentation is not None:
-        try:  # the residual's own input check, on the data's state batch shape
+        try:
             model.augmentation.check_batch((ds.n_traj, *ds.state_shape))
         except ValueError as exc:
-            raise UsageError(f"checkpoint's residual cannot evaluate this data: {exc}") from exc
+            raise UsageError(f"{refusal} this data: {exc}") from exc
 
 
 # The report's metric columns and their headings in report.txt.

@@ -259,13 +259,13 @@ def gen_pendulum(n_traj: dict, steps: int = 40, dt: float = 0.5, t0_period: floa
 
 
 def _simulate_reacdiff_batch(x0, coeffs, warm_steps, n_fine, keep_every, dt_sim):
-    """``euler_fine`` of ``reacdiff_rhs_np(*coeffs)`` on a (B, 2, H, W) or (2, H, W)
-    ``x0``, bit for bit, as (B, T, 2, H, W) or (T, 2, H, W) kept states.  The state
-    is ghost-padded and channel-major, (2, B, H+2, W+2), so a fine step is a
-    few 1-D ops."""
+    """``euler_fine`` of ``reacdiff_rhs_np(*coeffs)`` on a (B, 2, H, W) ``x0``, bit
+    for bit, as (B, T, 2, H, W) kept states.  The state is ghost-padded and
+    channel-major, (2, B, H+2, W+2), so a fine step is a few 1-D ops.  Rows do
+    not interact: a row that goes non-finite leaves the others' bits alone."""
     a, b, k, dx = coeffs
-    h, w = x0.shape[-2:]
-    state = np.zeros((2, x0.size // (2 * h * w), h + 2, w + 2))
+    n_rows, _, h, w = x0.shape
+    state = np.zeros((2, n_rows, h + 2, w + 2))
     # the flat range of a channel's cells with four flat neighbours (deriv is 0 elsewhere)
     n, wp = state[0].size, w + 2
     mid = slice(wp + 1, n - wp - 1)
@@ -283,13 +283,13 @@ def _simulate_reacdiff_batch(x0, coeffs, warm_steps, n_fine, keep_every, dt_sim)
         return deriv.reshape(x.shape)
 
     def run(states, steps, keep):
-        state[..., 1:-1, 1:-1] = states.reshape(-1, 2, h, w).transpose(1, 0, 2, 3)
+        state[..., 1:-1, 1:-1] = states.transpose(1, 0, 2, 3)
         return euler_fine(rhs, state, dt_sim, steps, keep,
                           lambda x: x[..., 1:-1, 1:-1].transpose(1, 0, 2, 3))
 
-    warm = run(x0, warm_steps, warm_steps)[-1] if warm_steps > 0 else x0
-    out = run(warm, n_fine, keep_every)
-    return np.moveaxis(out.reshape(len(out), *x0.shape), 0, -4)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller resamples such rows
+        warm = run(x0, warm_steps, warm_steps)[-1] if warm_steps > 0 else x0
+        return run(warm, n_fine, keep_every).swapaxes(0, 1)
 
 
 def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
@@ -301,10 +301,15 @@ def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
     Cells start i.i.d. uniform in [0, 1] at ``t_init``; a fine explicit-Euler
     run of ``reacdiff_rhs_np`` advances to t=0, then states are kept every
     ``dt_data`` up to ``horizon``.  It runs in row chunks (see ``_chunks``)
-    on a ghost-padded state updated in place.  If a chunk goes non-finite,
-    each of its sequences is simulated alone, and one that goes non-finite
-    is resampled and logged in its split's ``events``.
+    on a ghost-padded state updated in place.  A sequence whose stored states
+    are not all finite is simulated again from its next stream, up to 20
+    initial conditions, and each of its attempts that blew up is logged in
+    its split's ``events``; the other rows are kept as simulated.
     """
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
+    if not (dt_sim > 0 and dt_data > 0):
+        raise ValueError(f"dt_sim and dt_data must be positive, got {dt_sim} and {dt_data}")
     keep_every = round(dt_data / dt_sim)
     if abs(keep_every * dt_sim - dt_data) > 1e-12:
         raise ValueError("dt_data must be an integer multiple of dt_sim")
@@ -314,31 +319,28 @@ def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
     dx = 2.0 / (grid - 1)
     coeffs = (a, b, k, dx)
     members = _members(n_seq)
-    events: dict = {split: [] for split in SPLITS}
-
-    def one_sequence(split: str, i: int) -> np.ndarray:
-        for attempt in range(20):
-            rng = _stream(seed, split, i, attempt)
-            x0 = rng.random((2, grid, grid))
-            try:
-                return _simulate_reacdiff_batch(x0, coeffs, warm_steps, n_fine,
-                                                keep_every, dt_sim)
-            except BlowUpError:
-                events[split].append({"kind": "resampled_initial_condition",
-                                      "sequence": i, "attempt": attempt})
-                log.info("reacdiff %s sequence %d blew up (attempt %d); resampling",
-                         split, i, attempt)
-        raise BlowUpError(f"{split} sequence {i}: 20 initial conditions all blew up")
-
     out = np.empty((len(members), n_keep + 1, 2, grid, grid))
-    for rows in _chunks(len(members), out.shape[2:]):
-        x0 = np.stack([_stream(seed, split, i).random((2, grid, grid))
-                       for split, i in members[rows]])
-        try:
-            out[rows] = _simulate_reacdiff_batch(x0, coeffs, warm_steps, n_fine,
-                                                 keep_every, dt_sim)
-        except BlowUpError:
-            out[rows] = np.stack([one_sequence(split, i) for split, i in members[rows]])
+    attempts = [0] * len(members)
+    pending = list(range(len(members)))
+    while pending:
+        for rows in _chunks(len(pending), out.shape[2:]):
+            batch = pending[rows]
+            x0 = np.stack([_stream(seed, *members[r], attempts[r]).random((2, grid, grid))
+                           for r in batch])
+            out[batch] = _simulate_reacdiff_batch(x0, coeffs, warm_steps, n_fine,
+                                                  keep_every, dt_sim)
+        pending = [r for r in pending if not np.isfinite(out[r]).all()]  # a row's mask at a time
+        for r in pending:
+            split, i = members[r]
+            log.info("reacdiff %s sequence %d blew up (attempt %d); resampling",
+                     split, i, attempts[r])
+            attempts[r] += 1
+            if attempts[r] == 20:
+                raise BlowUpError(f"{split} sequence {i}: 20 initial conditions all blew up")
+    events: dict = {split: [] for split in SPLITS}
+    for (split, i), n in zip(members, attempts):
+        events[split] += [{"kind": "resampled_initial_condition", "sequence": i,
+                           "attempt": attempt} for attempt in range(n)]
     return {split: Dataset(
         system="reacdiff", split=split, dt=dt_data, trajectories=seqs,
         true_params={"a": a, "b": b, "k": k}, noise_sigma=0.0, seed=seed,

@@ -569,6 +569,50 @@ def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("dataset,message", [
+    ({"grid": 0}, "grid must be at least 2, got 0"),
+    ({"grid": 1}, "grid must be at least 2, got 1"),
+    ({"dt_sim": 0.0}, "dt_sim and dt_data must be positive, got 0.0 and 0.1"),
+    ({"dt_data": 0.0}, "dt_sim and dt_data must be positive, got 0.001 and 0.0"),
+    # would step backwards through no fine step and write uninitialized states
+    ({"dt_sim": -0.001}, "dt_sim and dt_data must be positive, got -0.001 and 0.1"),
+    ({"dt_data": -0.1}, "dt_sim and dt_data must be positive, got 0.001 and -0.1"),
+], ids=["grid_0", "grid_1", "dt_sim_0", "dt_data_0", "dt_sim_negative", "dt_data_negative"])
+def test_generate_reacdiff_grid_or_step_out_of_range_exits_2_and_writes_nothing(
+        tmp_path, capsys, dataset, message):
+    cfg = field_config(tmp_path, "reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1,
+                                              "grid": 8, "horizon": 0.2, **dataset})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
+    assert f"bad reacdiff dataset section: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_train_refuses_a_convnet_on_fields_below_3x3(tmp_path, capsys):
+    cfg = field_config(tmp_path, "reacdiff", {"n_train": 2, "n_valid": 0, "n_test": 1,
+                                              "grid": 2, "horizon": 0.2})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert ("the config's residual cannot train on this data: expected (B, 2, H, W) state "
+            "batch with H, W >= 3, got (2, 2, 2, 2)") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_refuses_a_convnet_checkpoint_on_fields_below_3x3(tmp_path, capsys):
+    residual = ConvNetAugmentation(ConvNetSpec(hidden_channels=4, padding="circular"))
+    save_checkpoint(AugmentedDynamics(None, residual), tmp_path / "checkpoint")
+    save_dataset(Dataset(system="reacdiff", split="test", dt=0.1,
+                         trajectories=np.zeros((2, 3, 2, 2, 2)), true_params={},
+                         noise_sigma=0.0, seed=0, grid={"dx": 2.0, "bc": "periodic"}),
+                 tmp_path / "test")
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint"),
+                 "--data", str(tmp_path / "test"), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert ("checkpoint's residual cannot evaluate this data: expected (B, 2, H, W) state "
+            "batch with H, W >= 3, got (2, 2, 2, 2)") in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 TINY_TRAIN = {"n_epochs": 30, "n_iter": 1, "tau1": 0.02, "optimizer": "adam",
               "patience": None}
 

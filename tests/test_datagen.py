@@ -161,26 +161,33 @@ def test_reacdiff_rejects_incompatible_step_sizes():
         gen_reacdiff({"train": 1}, grid=8, dt_sim=3e-4, dt_data=0.1)
 
 
-def failing_reacdiff_simulation(monkeypatch, fails):
-    """Make ``gen_reacdiff``'s simulator raise ``BlowUpError`` where
-    ``fails(x0)`` holds, and run it otherwise."""
-    simulate = datagen._simulate_reacdiff_batch
+def overflowing_streams(monkeypatch, forced):
+    """Make each ``(split, index, attempt)`` stream for which ``forced`` holds
+    draw an initial condition with one entry at 2e103, whose cube overflows,
+    so that the simulation of that draw goes non-finite."""
+    stream = datagen._stream
 
-    def flaky(x0, *args):
-        if fails(x0):
-            raise BlowUpError("forced blow-up")
-        return simulate(x0, *args)
-    monkeypatch.setattr(datagen, "_simulate_reacdiff_batch", flaky)
+    class Overflowing:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, shape):
+            x = self.rng.random(shape)
+            x[0, 3, 5] = 2e103
+            return x
+
+    def patched(seed, split, index, attempt=0):
+        rng = stream(seed, split, index, attempt)
+        return Overflowing(rng) if forced(split, index, attempt) else rng
+    monkeypatch.setattr(datagen, "_stream", patched)
 
 
 def test_reacdiff_resamples_a_sequence_whose_simulation_blows_up(monkeypatch):
-    # the combined batch blows up, then train sequence 1 and valid sequence 0
-    # on their first initial conditions only
+    # train sequence 1 and valid sequence 0 blow up on their first initial
+    # conditions only
     seed, grid, a, b, k = 29, 8, 1e-3, 5e-3, 5e-3
-    first_x0s = [datagen._stream(seed, split, i, 0).random((2, grid, grid))
-                 for split, i in (("train", 1), ("valid", 0))]
-    failing_reacdiff_simulation(monkeypatch, lambda x0: x0.ndim == 4 or any(
-        np.array_equal(x0, first) for first in first_x0s))
+    overflowing_streams(monkeypatch, lambda split, i, attempt:
+                        attempt == 0 and (split, i) in (("train", 1), ("valid", 0)))
     splits = gen_reacdiff({"train": 3, "valid": 2}, grid=grid, a=a, b=b, k=k,
                           horizon=0.2, seed=seed)
     assert splits["train"].events == [{"kind": "resampled_initial_condition",
@@ -197,34 +204,52 @@ def test_reacdiff_resamples_a_sequence_whose_simulation_blows_up(monkeypatch):
                                       euler_fine(rhs, warm, 1e-3, 200, 100))
 
 
+def test_reacdiff_lists_events_sequence_by_sequence(monkeypatch):
+    # train sequence 1 blows up twice and sequence 2 once: the second pass
+    # finds sequence 1's second blow-up after sequence 2's first, but the
+    # events keep each sequence's attempts together, in sequence order
+    seed, grid = 59, 8
+    attempts = {("train", 1): 2, ("train", 2): 1, ("valid", 0): 1}
+    overflowing_streams(monkeypatch,
+                        lambda split, i, attempt: attempt < attempts.get((split, i), 0))
+    splits = gen_reacdiff({"train": 3, "valid": 2}, grid=grid, horizon=0.2, t_init=-0.1,
+                          seed=seed)
+    assert splits["train"].events == [
+        {"kind": "resampled_initial_condition", "sequence": 1, "attempt": 0},
+        {"kind": "resampled_initial_condition", "sequence": 1, "attempt": 1},
+        {"kind": "resampled_initial_condition", "sequence": 2, "attempt": 0}]
+    assert splits["valid"].events == [{"kind": "resampled_initial_condition",
+                                       "sequence": 0, "attempt": 0}]
+    rhs = reacdiff_rhs_np(1e-3, 5e-3, 5e-3, 2.0 / (grid - 1))
+    for split, ds in splits.items():
+        for i in range(ds.n_traj):
+            x0 = datagen._stream(seed, split, i, attempts.get((split, i), 0)).random(
+                (2, grid, grid))
+            warm = euler_fine(rhs, x0, 1e-3, 100, 100)[-1]
+            np.testing.assert_array_equal(ds.trajectories[i],
+                                          euler_fine(rhs, warm, 1e-3, 200, 100))
+
+
 def test_reacdiff_gives_up_after_twenty_initial_conditions(monkeypatch):
-    failing_reacdiff_simulation(monkeypatch, lambda x0: True)
+    overflowing_streams(monkeypatch, lambda split, i, attempt: True)
     with pytest.raises(BlowUpError, match="sequence 0: 20 initial conditions all blew up"):
         gen_reacdiff({"train": 2}, grid=8, horizon=0.2, seed=31)
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 8, 8), (2, 8, 8)])
+@pytest.mark.parametrize("row", [0, 2, 3], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("warm_steps", [0, 30])
-def test_reacdiff_simulation_blows_up_where_euler_fine_does(shape, warm_steps):
-    # a cube that overflows: one entry near 1e103 in one sequence
+def test_reacdiff_simulation_keeps_a_blown_row_to_itself(row, warm_steps):
+    # one entry near 1e103 overflows the cube; the rows are simulated apart
     coeffs = (1e-3, 5e-3, 5e-3, 2.0 / 7)
-    x0 = np.random.default_rng(37).random(shape)
-    x0.reshape(-1, 2, 8, 8)[-1, 0, 3, 5] = 2e103
-    rhs = reacdiff_rhs_np(*coeffs)
-
-    def reference():
-        x = x0
-        if warm_steps > 0:
-            x = euler_fine(rhs, x, 1e-3, warm_steps, warm_steps)[-1]
-        return euler_fine(rhs, x, 1e-3, 40, 20)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowUpError) as expected:
-            reference()
-        with pytest.raises(BlowUpError) as raised:
-            datagen._simulate_reacdiff_batch(x0, coeffs, warm_steps, 40, 20, 1e-3)
-    assert str(raised.value) == str(expected.value)
-    assert str(raised.value) == f"non-finite state at fine step {warm_steps or 20}"
+    x0 = np.random.default_rng(37).random((4, 2, 8, 8))
+    blown = x0.copy()
+    blown[row, 0, 3, 5] = 2e103
+    clean = datagen._simulate_reacdiff_batch(x0, coeffs, warm_steps, 40, 20, 1e-3)
+    out = datagen._simulate_reacdiff_batch(blown, coeffs, warm_steps, 40, 20, 1e-3)
+    assert out.shape == clean.shape == (4, 3, 2, 8, 8)
+    assert not np.isfinite(out[row, 1:]).any()
+    others = [r for r in range(4) if r != row]
+    assert out[others].tobytes() == clean[others].tobytes()
 
 
 def test_reacdiff_rhs_agrees_with_the_physical_family():
@@ -264,12 +289,11 @@ def test_field_chunk_size_changes_no_bits(monkeypatch, rows):
 
 @pytest.mark.parametrize("rows", [1, 2, 256])
 def test_reacdiff_blow_up_of_one_chunk_resamples_as_before(monkeypatch, rows):
-    # the chunk holding train sequence 1 blows up, then that sequence alone
-    # on its first initial condition; 256 rows of 2x8x8 is the default
+    # train sequence 1 blows up on its first initial condition, in whichever
+    # chunk holds it; 256 rows of 2x8x8 is the default
     seed, grid = 53, 8
-    first = datagen._stream(seed, "train", 1, 0).random((2, grid, grid))
-    failing_reacdiff_simulation(monkeypatch, lambda x0: any(
-        np.array_equal(row, first) for row in x0.reshape(-1, 2, grid, grid)))
+    overflowing_streams(monkeypatch,
+                        lambda split, i, attempt: (split, i, attempt) == ("train", 1, 0))
     monkeypatch.setattr(datagen, "_CHUNK_BYTES", rows * 2 * grid * grid * 8)
     splits = gen_reacdiff(COUNTS, grid=grid, horizon=0.2, t_init=-0.1, seed=seed)
     assert splits["train"].events == [{"kind": "resampled_initial_condition",

@@ -236,6 +236,12 @@ def test_euler_fine_requires_divisibility():
         euler_fine(ZERO, np.array(1.0), 1e-3, 1000, 300)
 
 
+@pytest.mark.parametrize("n,keep_every", [(-100, 100), (100, 0), (0, -1)])
+def test_euler_fine_rejects_a_negative_step_count_or_keep_every_below_one(n, keep_every):
+    with pytest.raises(ValueError, match="need n >= 0 and keep_every >= 1"):
+        euler_fine(ZERO, np.array(1.0), 1e-3, n, keep_every)
+
+
 def test_euler_fine_periodic_diffusion_conserves_mass():
     rng = np.random.default_rng(3)
     u0 = rng.random((8, 8))
