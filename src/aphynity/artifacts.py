@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Payload", "save_artifact", "open_artifact", "load_artifact", "describing"]
+__all__ = ["Payload", "save_artifact", "open_artifact", "describing"]
 
 # Bytes the streaming CRC pass reads at a time
 _CHECK_BYTES = 1 << 16
@@ -121,9 +121,3 @@ def open_artifact(path, header_name: str, payload_name: str, version: int,
             raise error(f"{payload_name} failed its checksum")
     return header, Payload(path / payload_name, size, error)
 
-
-def load_artifact(path, header_name: str, payload_name: str, version: int,
-                  error: type[Exception]) -> tuple[dict, np.ndarray]:
-    """The checked header and the payload as a flat float64 array."""
-    header, payload = open_artifact(path, header_name, payload_name, version, error)
-    return header, payload.read_all()

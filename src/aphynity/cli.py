@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import copy
 import csv
+import inspect
 import json
 import logging
 import math
@@ -102,16 +103,18 @@ def load_config(path, downscale: bool = False) -> dict:
     return cfg
 
 
-# Every key a config's ``dataset`` section may set, per system, with its default.
+GENERATORS = {"pendulum": gen_pendulum, "reacdiff": gen_reacdiff, "wave": gen_wave}
+# The split sizes a config's ``dataset`` section may set, per system, with their defaults
+SPLIT_COUNT_DEFAULTS = {"pendulum": {"n_traj_per_split": 25},
+                        "reacdiff": {"n_train": 1440, "n_valid": 160, "n_test": 320},
+                        "wave": {"n_train": 200, "n_valid": 25, "n_test": 25}}
+# Every key a config's ``dataset`` section may set, per system, with its default:
+# the split sizes, then the generator's keywords but ``seed``
 DATASET_DEFAULTS = {
-    "pendulum": {"n_traj_per_split": 25, "steps": 40, "dt": 0.5, "t0_period": 12.0,
-                 "alpha": 0.2, "sigma": 0.01, "sigma_test": 0.0},
-    "reacdiff": {"n_train": 1440, "n_valid": 160, "n_test": 320, "grid": 32,
-                 "a": 1e-3, "b": 5e-3, "k": 5e-3, "dt_sim": 1e-3, "dt_data": 0.1,
-                 "horizon": 2.5, "t_init": -0.5},
-    "wave": {"n_train": 200, "n_valid": 25, "n_test": 25, "grid": 64, "c": 330.0,
-             "k": 50.0, "dt": 1e-3, "n_steps": 25, "sigma_lo": 10.0, "sigma_hi": 100.0},
-}
+    system: {**SPLIT_COUNT_DEFAULTS[system],
+             **{name: p.default for name, p in inspect.signature(generate).parameters.items()
+                if p.default is not p.empty and name != "seed"}}
+    for system, generate in GENERATORS.items()}
 
 
 def validate_config(cfg: dict) -> None:
@@ -231,13 +234,10 @@ def _generate(system: str, ds_cfg: dict, seed: int) -> dict[str, Dataset]:
         counts = dict.fromkeys(SPLITS, p.pop("n_traj_per_split"))
     else:
         counts = {split: p.pop(f"n_{split}") for split in SPLITS}
-    if system == "wave":
-        p["sigma_range"] = (p.pop("sigma_lo"), p.pop("sigma_hi"))
     if not any(counts.values()):
         raise UsageError(f"every {system} split has 0 sequences; nothing to generate")
-    generate = {"pendulum": gen_pendulum, "reacdiff": gen_reacdiff, "wave": gen_wave}[system]
     try:
-        return generate(counts, seed=seed, **p)
+        return GENERATORS[system](counts, seed=seed, **p)
     except ValueError as exc:
         raise UsageError(f"bad {system} dataset section: {exc}") from exc
 
@@ -247,7 +247,8 @@ def _train_one_seed(cfg: dict, data_dir: Path, out_dir: Path, seed: int) -> int:
     valid_path = data_dir / "valid"
     valid_ds = load_dataset(valid_path) if (valid_path / "meta.json").exists() else None
     model = build_model(cfg, train_ds, seed)
-    _check_residual(model, train_ds, "the config's residual cannot train on")
+    for ds in filter(None, (train_ds, valid_ds)):
+        _check_compatibility(model, ds, "the config", "train on")
     tc = TrainConfig(mode=cfg["mode"], seed=seed, **cfg["train"])
     marker = _mark_partial(out_dir)
     report = fit(model, train_ds, tc, valid=valid_ds)
@@ -315,7 +316,8 @@ def cmd_evaluate(args) -> int:
     model, extra = load_checkpoint(Path(args.checkpoint))
     test_ds = load_dataset(Path(args.data))
     train_ds = load_dataset(Path(args.train_data)) if args.train_data else None
-    _check_compatibility(model, test_ds)
+    for ds in filter(None, (test_ds, train_ds)):
+        _check_compatibility(model, ds, "checkpoint", "evaluate")
     horizon = args.horizon if args.horizon is not None else test_ds.n_steps
     if horizon < 1 or horizon > test_ds.n_steps:
         raise UsageError(
@@ -351,25 +353,22 @@ def _extra_number(extra: dict, key: str, convert, default):
                               f"not a number") from exc
 
 
-def _check_compatibility(model: AugmentedDynamics, ds: Dataset) -> None:
+def _check_compatibility(model: AugmentedDynamics, ds: Dataset, owner: str, use: str) -> None:
+    """Refuse a split whose system or grid spacing the physics is not for, or
+    whose state batch shape fails the residual's own input check."""
     fam = model.physical
     if fam is not None:
         if fam.system != ds.system:
-            raise UsageError(f"checkpoint is for {fam.system!r}, data is {ds.system!r}")
+            raise UsageError(f"{owner} is for {fam.system!r}, data is {ds.system!r}")
         data_dx = (ds.grid or {}).get("dx")
         if fam.dx is not None and data_dx is not None and not math.isclose(fam.dx, data_dx):
-            raise UsageError(f"checkpoint's physics has grid spacing dx={fam.dx:.6g}, "
+            raise UsageError(f"{owner}'s physics has grid spacing dx={fam.dx:.6g}, "
                              f"data has dx={data_dx:.6g}")
-    _check_residual(model, ds, "checkpoint's residual cannot evaluate")
-
-
-def _check_residual(model: AugmentedDynamics, ds: Dataset, refusal: str) -> None:
-    """The residual's own input check, on the data's state batch shape."""
     if model.augmentation is not None:
         try:
             model.augmentation.check_batch((ds.n_traj, *ds.state_shape))
         except ValueError as exc:
-            raise UsageError(f"{refusal} this data: {exc}") from exc
+            raise UsageError(f"{owner}'s residual cannot {use} this data: {exc}") from exc
 
 
 # The report's metric columns and their headings in report.txt.

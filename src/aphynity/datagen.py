@@ -313,6 +313,10 @@ def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
     keep_every = round(dt_data / dt_sim)
     if abs(keep_every * dt_sim - dt_data) > 1e-12:
         raise ValueError("dt_data must be an integer multiple of dt_sim")
+    if t_init > 0:
+        raise ValueError(f"t_init must be at most 0, got {t_init}")
+    if horizon < dt_data:
+        raise ValueError(f"horizon must be at least dt_data ({dt_data}), got {horizon}")
     warm_steps = round(-t_init / dt_sim)
     n_keep = round(horizon / dt_data)
     n_fine = n_keep * keep_every
@@ -349,13 +353,13 @@ def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
 
 
 def gen_wave(n_seq: dict, grid: int = 64, c: float = 330.0, k: float = 50.0,
-             dt: float = 1e-3, n_steps: int = 300, sigma_range=(10.0, 100.0),
-             seed: int = 0) -> dict[str, Dataset]:
+             dt: float = 1e-3, n_steps: int = 25, sigma_lo: float = 10.0,
+             sigma_hi: float = 100.0, seed: int = 0) -> dict[str, Dataset]:
     """Damped-wave sequences from centered Gaussian bumps at rest.
 
     The initial displacement is ``exp(-((x-x0)^2 + (y-y0)^2) / sigma^2)`` with
-    unit amplitude, ``sigma`` drawn per sequence from ``sigma_range`` and the
-    center at ``(grid//2, grid//2)``; the initial velocity is zero.  The
+    unit amplitude, ``sigma`` drawn per sequence from ``[sigma_lo, sigma_hi)``
+    and the center at ``(grid//2, grid//2)``; the initial velocity is zero.  The
     simulator is fixed-step RK4 with a 4th-order Laplacian and zero-Neumann
     boundaries, in row chunks (see ``_chunks``).  No observation noise is added.
     """
@@ -370,7 +374,7 @@ def gen_wave(n_seq: dict, grid: int = 64, c: float = 330.0, k: float = 50.0,
     members = _members(n_seq)
     out = np.zeros((len(members), n_steps + 1, 2, grid, grid))
     for row, (split, i) in enumerate(members):
-        sigma = _stream(seed, split, i).uniform(*sigma_range)
+        sigma = _stream(seed, split, i).uniform(sigma_lo, sigma_hi)
         out[row, 0, 0] = np.exp(-r_sq / (sigma * sigma))
     for rows in _chunks(len(members), out.shape[2:]):
         x = out[rows, 0]

@@ -6,9 +6,9 @@ mean squared error over a fixed horizon, physical-parameter error
 percentages, and the residual norm over the training states.
 
 ``squared_errors`` (a streamed no-grad rollout, scored against truth read a
-block of time steps at a time) and ``residual_norm_sq`` (a
-no-grad |F_a|^2 pass over a split) serve ``evaluate`` and the end of every
-``training.fit`` epoch alike.
+block of time steps at a time), ``mean_squared_error`` (their mean per
+step and state entry) and ``residual_norm_sq`` (a no-grad |F_a|^2 pass over
+a split) serve ``evaluate`` and the end of every ``training.fit`` epoch alike.
 
 Pendulum frequency errors are reported on the period (``t0_period``) rather
 than on the squared pulsation, so "5% off" means 5% off the period.
@@ -30,7 +30,7 @@ from .integrators import BlowUpError, integrate
 from .models import AugmentedDynamics
 
 __all__ = ["MetricsRecord", "param_error_pct", "augmentation_norm_sq",
-           "squared_errors", "residual_norm_sq", "evaluate",
+           "squared_errors", "mean_squared_error", "residual_norm_sq", "evaluate",
            "write_metrics_csv", "write_metrics_json", "load_metrics_rows"]
 
 CSV_COLUMNS = [
@@ -155,6 +155,11 @@ def squared_errors(model: AugmentedDynamics, data, horizon: int,
     return sums
 
 
+def mean_squared_error(sums: np.ndarray, horizon: int, state_shape) -> float:
+    """The mean per trajectory, step 1..horizon and state entry of ``squared_errors`` sums."""
+    return sums.sum() / (len(sums) * horizon * math.prod(state_shape))
+
+
 def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
              fa_norm_sq: float | None = None, run_id: str = "run",
              mode: str = "n/a", seed: int = 0) -> MetricsRecord:
@@ -188,7 +193,7 @@ def evaluate(model: AugmentedDynamics, test, horizon: int, train=None,
         if not sums:
             raise
         sums = np.concatenate(sums)
-    mse = sums.sum() / (len(sums) * horizon * math.prod(test.state_shape))
+    mse = mean_squared_error(sums, horizon, test.state_shape)
     lm = float("-inf") if mse == 0 else math.log10(mse)
 
     desc = model.describe()

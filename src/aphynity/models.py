@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import diffcore as dc
-from .artifacts import describing, load_artifact, save_artifact
+from .artifacts import describing, open_artifact, save_artifact
 from .augments import make_augmentation
 from .diffcore import ParamSet, Tensor
 from .physics import PhysicalFamily, make_family
@@ -100,8 +100,9 @@ def save_checkpoint(model: AugmentedDynamics, path, extra: dict | None = None) -
 
 def load_checkpoint(path) -> tuple[AugmentedDynamics, dict]:
     """Rebuild the model from a checkpoint directory; returns (model, extra)."""
-    manifest, values = load_artifact(path, "manifest.json", "params.bin",
-                                     CHECKPOINT_VERSION, CheckpointError)
+    manifest, payload = open_artifact(path, "manifest.json", "params.bin",
+                                      CHECKPOINT_VERSION, CheckpointError)
+    values = payload.read_all()
     with describing("manifest.json", "params.bin", CheckpointError):
         desc = manifest["model"]
         physical = augmentation = None

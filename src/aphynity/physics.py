@@ -30,8 +30,7 @@ from .diffcore.ops import laplacian_stencil, pad_boundary
 __all__ = [
     "softplus_inverse", "ConstrainedParam", "laplacian", "laplacian_np",
     "PhysicalFamily", "PendulumDynamics", "ReactionDiffusionDynamics",
-    "DampedWaveDynamics", "make_family", "level_variant", "project_linear_family",
-    "SingularProjectionError",
+    "DampedWaveDynamics", "make_family", "level_variant",
     "PENDULUM_FLOORS", "REACDIFF_FLOORS", "WAVE_FLOORS",
 ]
 
@@ -225,65 +224,3 @@ def level_variant(system: str, level: str) -> str:
     family's first, ``complete`` and ``true`` its last."""
     variants = list(_FAMILIES[system].VARIANTS)
     return variants[0] if level == "incomplete" else variants[-1]
-
-
-class SingularProjectionError(RuntimeError):
-    """The normal matrix of a linear-family projection is singular."""
-
-
-def _projection_parts(state: np.ndarray, family: str, dx: float, bc: str):
-    """Offset term and per-parameter basis responses for a linear family."""
-    u, v = state[0], state[1]
-    if family == "reacdiff_diffusion_only":
-        zero = np.zeros_like(u)
-        basis = {
-            "a": np.stack([laplacian_np(u, bc, dx), zero]),
-            "b": np.stack([zero, laplacian_np(v, bc, dx)]),
-        }
-        offset = np.zeros_like(state)
-    elif family == "wave_undamped_c_sq":
-        zero = np.zeros_like(u)
-        basis = {"c_sq": np.stack([zero, laplacian_np(u, bc, dx)])}
-        offset = np.stack([v, zero])
-    else:
-        raise ValueError(f"unknown linear family {family!r}")
-    return offset, basis
-
-
-def project_linear_family(samples, family: str, *, dx: float = 1.0,
-                          bc: str | None = None) -> dict[str, float]:
-    """Closed-form least squares of (state, dX/dt target) pairs onto a family
-    that is linear in its parameters.
-
-    Solves the normal equations of ``min_p sum_i ||target_i - Fp_p(X_i)||^2``.
-    This is the projection oracle the trajectory-based optimizer is checked
-    against.  Supported families: ``reacdiff_diffusion_only`` (periodic) and
-    ``wave_undamped_c_sq`` (zero-Neumann).
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    if bc is None:
-        bc = "periodic" if family == "reacdiff_diffusion_only" else "neumann_zero"
-    names = None
-    gram = None
-    rhs = None
-    for state, target in samples:
-        state = np.asarray(state, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        offset, basis = _projection_parts(state, family, dx, bc)
-        if names is None:
-            names = list(basis)
-            gram = np.zeros((len(names), len(names)))
-            rhs = np.zeros(len(names))
-        resid = target - offset
-        for i, ni in enumerate(names):
-            rhs[i] += np.sum(basis[ni] * resid)
-            for j, nj in enumerate(names):
-                gram[i, j] += np.sum(basis[ni] * basis[nj])
-    try:
-        sol = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularProjectionError("degenerate samples: singular normal matrix") from exc
-    if np.linalg.cond(gram) > 1e12:
-        raise SingularProjectionError("degenerate samples: ill-conditioned normal matrix")
-    return dict(zip(names, sol))

@@ -41,7 +41,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ParamSet, Tensor
 from .integrators import BlowUpError, integrate
-from .metrics import augmentation_norm_sq, residual_norm_sq, squared_errors
+from .metrics import augmentation_norm_sq, mean_squared_error, residual_norm_sq, squared_errors
 from .models import AugmentedDynamics
 
 __all__ = [
@@ -252,7 +252,7 @@ def _split_mse(model, data, on_blow_up: float) -> float:
         sums = squared_errors(model, data, data.n_steps)
     except BlowUpError:
         return on_blow_up
-    return float(sums.sum() / (data.n_traj * data.n_steps * math.prod(data.state_shape)))
+    return float(mean_squared_error(sums, data.n_steps, data.state_shape))
 
 
 def _eval_constraint(model, data, mode) -> float:

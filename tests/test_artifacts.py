@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from aphynity.artifacts import load_artifact, save_artifact
+from aphynity.artifacts import open_artifact, save_artifact
 from aphynity.augments import ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec
 from aphynity.datagen import gen_reacdiff, load_dataset, save_dataset
 from aphynity.models import AugmentedDynamics, load_checkpoint, save_checkpoint
@@ -24,11 +24,11 @@ def test_save_artifact_writes_the_documented_layout(tmp_path):
               "payload_crc32": zlib.crc32(body), "x": [1]}
     assert (tmp_path / "a" / "head.json").read_text() == \
         json.dumps(header, indent=1, sort_keys=True)
-    loaded, values = load_artifact(tmp_path / "a", "head.json", "body.bin", 7, FormatError)
+    loaded, payload = open_artifact(tmp_path / "a", "head.json", "body.bin", 7, FormatError)
     assert loaded == header
-    assert values.tolist() == [1.5, -2.0]
+    assert payload.read_all().tolist() == [1.5, -2.0]
     with pytest.raises(FormatError, match="version"):
-        load_artifact(tmp_path / "a", "head.json", "body.bin", 8, FormatError)
+        open_artifact(tmp_path / "a", "head.json", "body.bin", 8, FormatError)
 
 
 def resave_dataset(src, dst):
@@ -100,9 +100,9 @@ def replaced_by_a_directory(path):
     (lambda path: path.unlink(), "cannot read body.bin"),
     (replaced_by_a_directory, "cannot read body.bin"),
 ], ids=["longer", "shorter", "one_byte_longer", "crc", "missing", "directory"])
-def test_load_artifact_raises_the_owners_error_for_a_bad_payload(tmp_path, corrupt, message):
+def test_open_artifact_raises_the_owners_error_for_a_bad_payload(tmp_path, corrupt, message):
     save_artifact(tmp_path / "a", "head.json", "body.bin", {"format_version": 7},
                   [1.5, -2.0, 3.25])
     corrupt(tmp_path / "a" / "body.bin")
     with pytest.raises(FormatError, match=message):
-        load_artifact(tmp_path / "a", "head.json", "body.bin", 7, FormatError)
+        open_artifact(tmp_path / "a", "head.json", "body.bin", 7, FormatError)[1].read_all()

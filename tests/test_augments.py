@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import aphynity.diffcore as dc
-from aphynity.artifacts import load_artifact, save_artifact
+from aphynity.artifacts import open_artifact, save_artifact
 from aphynity.augments import (
     ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec, make_augmentation,
 )
@@ -183,8 +183,9 @@ def test_checkpoint_with_biases_before_batch_norm_still_loads(tmp_path):
     model = AugmentedDynamics(fam, ConvNetAugmentation(ConvNetSpec(padding="circular"), seed=25))
     assert "augment.c0" not in model.params and "augment.c1" not in model.params
     save_checkpoint(model, tmp_path / "new")
-    manifest, payload = load_artifact(tmp_path / "new", "manifest.json", "params.bin",
+    manifest, payload = open_artifact(tmp_path / "new", "manifest.json", "params.bin",
                                       CHECKPOINT_VERSION, CheckpointError)
+    payload = payload.read_all()
     arrays = {e["name"]: payload[e["offset"] // 8:][:np.prod(e["shape"], dtype=int)]
               .reshape(e["shape"]) for e in manifest["arrays"]}
     hidden = model.augmentation.spec.hidden_channels

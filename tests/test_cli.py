@@ -577,7 +577,12 @@ def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys,
     # would step backwards through no fine step and write uninitialized states
     ({"dt_sim": -0.001}, "dt_sim and dt_data must be positive, got -0.001 and 0.1"),
     ({"dt_data": -0.1}, "dt_sim and dt_data must be positive, got 0.001 and -0.1"),
-], ids=["grid_0", "grid_1", "dt_sim_0", "dt_data_0", "dt_sim_negative", "dt_data_negative"])
+    # would skip the warm-up and start the data at t=0
+    ({"t_init": 0.3}, "t_init must be at most 0, got 0.3"),
+    ({"horizon": -0.2}, "horizon must be at least dt_data (0.1), got -0.2"),
+    ({"horizon": 0.04}, "horizon must be at least dt_data (0.1), got 0.04"),
+], ids=["grid_0", "grid_1", "dt_sim_0", "dt_data_0", "dt_sim_negative", "dt_data_negative",
+        "t_init_positive", "horizon_negative", "horizon_below_dt_data"])
 def test_generate_reacdiff_grid_or_step_out_of_range_exits_2_and_writes_nothing(
         tmp_path, capsys, dataset, message):
     cfg = field_config(tmp_path, "reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1,
@@ -596,6 +601,31 @@ def test_train_refuses_a_convnet_on_fields_below_3x3(tmp_path, capsys):
     assert ("the config's residual cannot train on this data: expected (B, 2, H, W) state "
             "batch with H, W >= 3, got (2, 2, 2, 2)") in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_valid_split_the_residual_does_not_take(tmp_path, capsys):
+    cfg = tiny_pendulum_config(tmp_path, physics="none", physics_init=None, augmentation="mlp")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    field_data(tmp_path / "data" / "valid")
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert ("the config's residual cannot train on this data: expected (B, 2) state batch"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_refuses_train_data_the_residual_does_not_take(tmp_path, capsys):
+    residual = MlpAugmentation(MlpSpec(hidden=4, depth=1))
+    save_checkpoint(AugmentedDynamics(None, residual), tmp_path / "checkpoint")
+    vector_data(tmp_path / "test")
+    field_data(tmp_path / "train")
+    code = main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint"),
+                 "--data", str(tmp_path / "test"), "--train-data", str(tmp_path / "train"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert ("checkpoint's residual cannot evaluate this data: expected (B, 2) state batch"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_refuses_a_convnet_checkpoint_on_fields_below_3x3(tmp_path, capsys):

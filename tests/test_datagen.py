@@ -317,7 +317,7 @@ def test_wave_zero_speed_zero_damping_is_constant():
 
 def test_wave_overdamped_energy_nonincreasing():
     ds = gen_wave({"train": 2}, grid=32, c=2.0, k=50.0, n_steps=80,
-                  sigma_range=(3.0, 5.0), seed=31)["train"]
+                  sigma_lo=3.0, sigma_hi=5.0, seed=31)["train"]
     for i in range(ds.n_traj):
         w = ds.trajectories[i, :, 0]
         v = ds.trajectories[i, :, 1]

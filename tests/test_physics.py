@@ -6,11 +6,10 @@ from aphynity.diffcore import Tensor, backward
 from aphynity.integrators import rk4_step
 from aphynity.physics import (
     ConstrainedParam, DampedWaveDynamics, PendulumDynamics,
-    ReactionDiffusionDynamics, SingularProjectionError, laplacian,
-    laplacian_np, make_family, project_linear_family, softplus_inverse,
+    ReactionDiffusionDynamics, laplacian, laplacian_np, make_family, softplus_inverse,
 )
 
-from helpers import gradcheck
+from helpers import SingularProjectionError, gradcheck, project_linear_family
 
 
 def pendulum(damped, **init):
