@@ -27,7 +27,7 @@ import numpy as np
 
 from .augments import make_augmentation
 from .datagen import (
-    SPLITS, Dataset, DatasetError, gen_pendulum, gen_reacdiff, gen_wave,
+    SPLITS, Dataset, DatasetError, check_dataset, gen_pendulum, gen_reacdiff, gen_wave,
     load_dataset, save_dataset,
 )
 from .integrators import BlowUpError, StepUnderflowError
@@ -64,7 +64,7 @@ def builtin_config_dir() -> Path:
 
 
 # Every top-level config key but ``system`` and ``downscale``, with the default
-# that load_config fills in.
+# that load_config fills in; any other key is refused.
 CONFIG_DEFAULTS = {"name": None, "seed": 0, "mode": "aphynity", "physics": "none",
                    "augmentation": "none", "physics_init": None, "dataset": {}, "train": {}}
 
@@ -118,6 +118,11 @@ DATASET_DEFAULTS = {
 
 
 def validate_config(cfg: dict) -> None:
+    unknown = sorted(set(cfg) - set(CONFIG_DEFAULTS) - {"system", "downscale"})
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    if not isinstance(cfg["name"], (str, type(None))):
+        raise UsageError(f"name must be null or a string, got {cfg['name']!r}")
     system = cfg.get("system")
     if system not in DATASET_DEFAULTS:
         raise UsageError(f"unknown system {system!r}")
@@ -127,7 +132,6 @@ def validate_config(cfg: dict) -> None:
     unknown = sorted(set(ds_cfg) - set(DATASET_DEFAULTS[system]))
     if unknown:
         raise UsageError(f"unknown {system} dataset key(s): {', '.join(unknown)}")
-    # types and signs only; the generators keep the range rules
     for key, value in ds_cfg.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"{system} dataset {key} must be a number, got {value!r}")
@@ -137,6 +141,13 @@ def validate_config(cfg: dict) -> None:
                 not (isinstance(value, int) and value >= 0):
             raise UsageError(f"{system} dataset {key} must be a non-negative integer, "
                              f"got {value!r}")
+    params = {**DATASET_DEFAULTS[system], **ds_cfg}
+    try:
+        check_dataset(system, params)
+    except ValueError as exc:
+        raise UsageError(f"{system} dataset {exc}") from exc
+    if not any(params[key] for key in SPLIT_COUNT_DEFAULTS[system]):
+        raise UsageError(f"every {system} split has 0 sequences; nothing to generate")
     physics = cfg["physics"]
     if physics not in ("none", "incomplete", "complete", "true"):
         raise UsageError(f"unknown physics level {physics!r}")
@@ -182,7 +193,11 @@ def build_model(cfg: dict, train_ds: Dataset, seed: int) -> AugmentedDynamics:
         dx = train_ds.grid["dx"] if train_ds.grid else None
         if physics_level == "true":
             init = {k: v for k, v in train_ds.true_params.items() if k != "t0_period"}
-            physical = make_family(system, variant, dx=dx, init=init, trainable=False)
+            try:
+                physical = make_family(system, variant, dx=dx, init=init, trainable=False)
+            except ValueError as exc:
+                raise UsageError(f"physics 'true' cannot hold the data's parameters: "
+                                 f"{exc}") from exc
         else:
             init = cfg["physics_init"] or None
             physical = make_family(system, variant, dx=dx, init=init)
@@ -211,8 +226,11 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config, args.downscale)
     seed = cfg["seed"] if args.seed is None else _check_seed(args.seed, "--seed")
     out = Path(args.out)
+    system, p = cfg["system"], {**DATASET_DEFAULTS[cfg["system"]], **cfg["dataset"]}
+    counts = (dict.fromkeys(SPLITS, p.pop("n_traj_per_split")) if system == "pendulum"
+              else {split: p.pop(f"n_{split}") for split in SPLITS})
     try:
-        datasets = _generate(cfg["system"], cfg["dataset"], seed)
+        datasets = GENERATORS[system](counts, seed=seed, **p)
     except (BlowUpError, StepUnderflowError) as exc:
         _mark_partial(out)
         print(f"error: the simulation diverged ({exc}); no split written to {out}",
@@ -225,21 +243,6 @@ def cmd_generate(args) -> int:
                  split, ds.n_traj, ds.n_steps, out / split)
     marker.unlink()
     return EXIT_OK
-
-
-def _generate(system: str, ds_cfg: dict, seed: int) -> dict[str, Dataset]:
-    """Every split with sequences, from one simulation; a bad dataset section is a usage error."""
-    p = {**DATASET_DEFAULTS[system], **ds_cfg}
-    if system == "pendulum":
-        counts = dict.fromkeys(SPLITS, p.pop("n_traj_per_split"))
-    else:
-        counts = {split: p.pop(f"n_{split}") for split in SPLITS}
-    if not any(counts.values()):
-        raise UsageError(f"every {system} split has 0 sequences; nothing to generate")
-    try:
-        return GENERATORS[system](counts, seed=seed, **p)
-    except ValueError as exc:
-        raise UsageError(f"bad {system} dataset section: {exc}") from exc
 
 
 def _train_one_seed(cfg: dict, data_dir: Path, out_dir: Path, seed: int) -> int:
@@ -295,7 +298,7 @@ def cmd_train(args) -> int:
 
 
 def _parse_seeds(args, cfg) -> list[int]:
-    if getattr(args, "seeds", None):
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError as exc:

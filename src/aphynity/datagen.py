@@ -4,7 +4,9 @@ Each system gets its own high-accuracy simulator, deliberately different
 from the fixed-step solver used at training time: adaptive Dormand-Prince
 for the pendulum, fine-step explicit Euler for reaction-diffusion, and
 fine-step RK4 with a 4th-order Laplacian for the damped wave.  A generator
-takes ``{split: count}``, simulates every split in one run whose rows do
+takes ``{split: count}`` and its keywords, checks the keywords against its
+rule list (``check_dataset``, the one place that says which values a
+config's ``dataset`` key accepts), simulates every split in one run whose rows do
 not interact (the pendulum's in one lock-step batch, each trajectory with its
 own adaptive step control; the fields' in row chunks sized to stay in cache),
 and returns ``{split: Dataset}`` for each split with sequences.
@@ -35,8 +37,8 @@ from .integrators import BlowUpError, dopri5, euler_fine, rk4_step
 from .physics import laplacian_np
 
 __all__ = [
-    "SPLITS", "Dataset", "DatasetError", "gen_pendulum", "gen_reacdiff", "gen_wave",
-    "save_dataset", "load_dataset", "pendulum_rhs_np", "reacdiff_rhs_np",
+    "SPLITS", "Dataset", "DatasetError", "check_dataset", "gen_pendulum", "gen_reacdiff",
+    "gen_wave", "save_dataset", "load_dataset", "pendulum_rhs_np", "reacdiff_rhs_np",
     "wave_rhs_np",
 ]
 
@@ -151,6 +153,21 @@ class Dataset:
                 yield t, block
 
 
+def check_dataset(system: str, params: dict) -> None:
+    """Raise ``ValueError("<key> must be <requirement>, got <value>")`` for the
+    first rule of ``system``'s generator that ``params``, its merged keyword
+    values, fails.  The rules run in order, so each may assume the ones above it."""
+    for key, holds, requirement in DATASET_RULES[system]:
+        if not holds(params):
+            raise ValueError(f"{key} must be {requirement}, got {params[key]}")
+
+
+def _multiple(x: float, step: float) -> bool:
+    """Whether ``x`` is an integer multiple of the positive ``step``, to rounding."""
+    n = x / step
+    return math.isfinite(n) and abs(round(n) * step - x) <= 1e-9 * step
+
+
 def _stream(seed: int, split: str, index: int, attempt: int = 0) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence((seed, SPLITS.index(split), index, attempt)))
@@ -226,6 +243,19 @@ def wave_rhs_np(c: float, k: float, dx: float = 1.0, order: int = 4):
 # ---------------------------------------------------------------------------
 # generators
 
+# Each generator's rule list: ``(key, holds, requirement)``, where ``holds``
+# reads the merged keyword values (see ``check_dataset``).
+PENDULUM_RULES = (
+    ("steps", lambda p: p["steps"] >= 1, "at least 1"),
+    ("dt", lambda p: p["dt"] > 0, "positive"),
+    ("t0_period", lambda p: p["t0_period"] > 2.0 * math.pi / math.sqrt(np.finfo(float).max),
+     "positive, with (2 pi / t0_period)^2 finite"),
+    ("alpha", lambda p: p["alpha"] >= 0, "non-negative"),
+    ("sigma", lambda p: p["sigma"] >= 0, "non-negative"),
+    ("sigma_test", lambda p: p["sigma_test"] >= 0, "non-negative"),
+)
+
+
 def gen_pendulum(n_traj: dict, steps: int = 40, dt: float = 0.5, t0_period: float = 12.0,
                  alpha: float = 0.2, sigma: float = 0.01, sigma_test: float = 0.0,
                  seed: int = 0) -> dict[str, Dataset]:
@@ -238,8 +268,7 @@ def gen_pendulum(n_traj: dict, steps: int = 40, dt: float = 0.5, t0_period: floa
     ``sigma_test`` in test.  Each stream draws its two initial uniforms,
     then its noise.
     """
-    if not t0_period > 0 or alpha < 0:
-        raise ValueError("t0_period must be positive and alpha non-negative")
+    check_dataset("pendulum", locals())
     omega0_sq = (2.0 * np.pi / t0_period) ** 2
     rhs = pendulum_rhs_np(omega0_sq, alpha)
     t_grid = dt * np.arange(steps + 1)
@@ -292,6 +321,24 @@ def _simulate_reacdiff_batch(x0, coeffs, warm_steps, n_fine, keep_every, dt_sim)
         return run(warm, n_fine, keep_every).swapaxes(0, 1)
 
 
+REACDIFF_RULES = (
+    ("grid", lambda p: p["grid"] >= 2, "at least 2"),
+    ("a", lambda p: p["a"] >= 0, "non-negative"),
+    ("b", lambda p: p["b"] >= 0, "non-negative"),
+    ("k", lambda p: p["k"] >= 0, "non-negative"),
+    ("dt_sim", lambda p: p["dt_sim"] > 0, "positive"),
+    ("dt_data", lambda p: p["dt_data"] > 0, "positive"),
+    ("dt_data", lambda p: _multiple(p["dt_data"], p["dt_sim"]), "an integer multiple of dt_sim"),
+    ("horizon", lambda p: p["horizon"] > 0 and _multiple(p["horizon"], p["dt_data"]),
+     "a positive integer multiple of dt_data"),
+    ("t_init", lambda p: p["t_init"] <= 0 and _multiple(p["t_init"], p["dt_sim"]),
+     "at most 0 and an integer multiple of dt_sim"),
+    # explicit Euler on the 5-point diffusion is stable for dt <= dx^2 / (4 D)
+    ("dt_sim", lambda p: 4 * p["dt_sim"] * max(p["a"], p["b"]) <= (2.0 / (p["grid"] - 1)) ** 2,
+     "at most dx^2 / (4 max(a, b)), with dx = 2 / (grid - 1), for a stable Euler step"),
+)
+
+
 def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
                  k: float = 5e-3, dt_sim: float = 1e-3, dt_data: float = 0.1,
                  horizon: float = 2.5, t_init: float = -0.5,
@@ -306,17 +353,8 @@ def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
     initial conditions, and each of its attempts that blew up is logged in
     its split's ``events``; the other rows are kept as simulated.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be at least 2, got {grid}")
-    if not (dt_sim > 0 and dt_data > 0):
-        raise ValueError(f"dt_sim and dt_data must be positive, got {dt_sim} and {dt_data}")
+    check_dataset("reacdiff", locals())
     keep_every = round(dt_data / dt_sim)
-    if abs(keep_every * dt_sim - dt_data) > 1e-12:
-        raise ValueError("dt_data must be an integer multiple of dt_sim")
-    if t_init > 0:
-        raise ValueError(f"t_init must be at most 0, got {t_init}")
-    if horizon < dt_data:
-        raise ValueError(f"horizon must be at least dt_data ({dt_data}), got {horizon}")
     warm_steps = round(-t_init / dt_sim)
     n_keep = round(horizon / dt_data)
     n_fine = n_keep * keep_every
@@ -352,6 +390,19 @@ def gen_reacdiff(n_seq: dict, grid: int = 32, a: float = 1e-3, b: float = 5e-3,
         for split, seqs in _by_split(n_seq, out).items()}
 
 
+WAVE_RULES = (
+    ("grid", lambda p: p["grid"] >= 8, "at least 8"),
+    ("c", lambda p: p["c"] >= 0, "non-negative"),
+    ("k", lambda p: p["k"] >= 0, "non-negative"),
+    ("dt", lambda p: p["dt"] > 0, "positive"),
+    ("n_steps", lambda p: p["n_steps"] >= 1, "at least 1"),
+    ("sigma_lo", lambda p: p["sigma_lo"] > 0, "positive"),
+    ("sigma_hi", lambda p: p["sigma_hi"] >= p["sigma_lo"], "at least sigma_lo"),
+    # RK4 with the 4th-order Laplacian at dx = 1 is stable for c dt <= 2 sqrt(2) / sqrt(32 / 3)
+    ("dt", lambda p: p["c"] * p["dt"] <= 0.866, "at most 0.866 / c, for a stable RK4 step"),
+)
+
+
 def gen_wave(n_seq: dict, grid: int = 64, c: float = 330.0, k: float = 50.0,
              dt: float = 1e-3, n_steps: int = 25, sigma_lo: float = 10.0,
              sigma_hi: float = 100.0, seed: int = 0) -> dict[str, Dataset]:
@@ -363,8 +414,7 @@ def gen_wave(n_seq: dict, grid: int = 64, c: float = 330.0, k: float = 50.0,
     simulator is fixed-step RK4 with a 4th-order Laplacian and zero-Neumann
     boundaries, in row chunks (see ``_chunks``).  No observation noise is added.
     """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    check_dataset("wave", locals())
     rhs = wave_rhs_np(c, k, dx=1.0, order=4)
     center = grid // 2
     xs = np.arange(grid, dtype=np.float64)
@@ -385,6 +435,9 @@ def gen_wave(n_seq: dict, grid: int = 64, c: float = 330.0, k: float = 50.0,
         system="wave", split=split, dt=dt, trajectories=seqs,
         true_params={"c": c, "k": k}, noise_sigma=0.0, seed=seed,
         grid={"dx": 1.0, "bc": "neumann_zero"}) for split, seqs in _by_split(n_seq, out).items()}
+
+
+DATASET_RULES = {"pendulum": PENDULUM_RULES, "reacdiff": REACDIFF_RULES, "wave": WAVE_RULES}
 
 
 # ---------------------------------------------------------------------------

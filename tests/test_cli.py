@@ -1,13 +1,14 @@
 import concurrent.futures
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from aphynity.augments import ConvNetAugmentation, ConvNetSpec, MlpAugmentation, MlpSpec
-from aphynity.cli import build_model, main
-from aphynity.datagen import Dataset, gen_pendulum, load_dataset, save_dataset
+from aphynity.cli import DATASET_DEFAULTS, GENERATORS, build_model, main
+from aphynity.datagen import DATASET_RULES, Dataset, gen_pendulum, load_dataset, save_dataset
 from aphynity.integrators import StepUnderflowError
 from aphynity.metrics import MetricsRecord, load_metrics_rows, write_metrics_csv
 from aphynity.models import AugmentedDynamics, load_checkpoint, save_checkpoint
@@ -569,26 +570,88 @@ def test_generate_bad_dataset_value_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("dataset,message", [
-    ({"grid": 0}, "grid must be at least 2, got 0"),
-    ({"grid": 1}, "grid must be at least 2, got 1"),
-    ({"dt_sim": 0.0}, "dt_sim and dt_data must be positive, got 0.0 and 0.1"),
-    ({"dt_data": 0.0}, "dt_sim and dt_data must be positive, got 0.001 and 0.0"),
+# Tiny dataset sections that every rule accepts, and out-of-range values:
+# ``(system, overrides, key)``, each refused by a rule on ``key``
+IN_RANGE_DATASETS = {
+    "pendulum": {"n_traj_per_split": 1, "steps": 4},
+    "reacdiff": {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "horizon": 0.2},
+    "wave": {"n_train": 1, "n_valid": 0, "n_test": 1, "grid": 8, "n_steps": 2},
+}
+OUT_OF_RANGE_DATASETS = [
+    ("pendulum", {"steps": 0}, "steps"),
+    ("pendulum", {"dt": 0.0}, "dt"),
+    ("pendulum", {"dt": -0.5}, "dt"),
+    ("pendulum", {"t0_period": 0.0}, "t0_period"),
+    ("pendulum", {"t0_period": -1.0}, "t0_period"),
+    ("pendulum", {"t0_period": 1e-300}, "t0_period"),  # (2 pi / t0_period)^2 overflows
+    ("pendulum", {"alpha": -0.1}, "alpha"),
+    ("pendulum", {"sigma": -1.0}, "sigma"),
+    ("pendulum", {"sigma_test": -1.0}, "sigma_test"),
+    ("reacdiff", {"grid": 0}, "grid"),
+    ("reacdiff", {"grid": 1}, "grid"),
+    ("reacdiff", {"a": -1.0}, "a"),
+    ("reacdiff", {"b": -1.0}, "b"),
+    ("reacdiff", {"k": -1.0}, "k"),
+    ("reacdiff", {"dt_sim": 0.0}, "dt_sim"),
     # would step backwards through no fine step and write uninitialized states
-    ({"dt_sim": -0.001}, "dt_sim and dt_data must be positive, got -0.001 and 0.1"),
-    ({"dt_data": -0.1}, "dt_sim and dt_data must be positive, got 0.001 and -0.1"),
+    ("reacdiff", {"dt_sim": -0.001}, "dt_sim"),
+    ("reacdiff", {"dt_data": 0.0}, "dt_data"),
+    ("reacdiff", {"dt_data": -0.1}, "dt_data"),
+    ("reacdiff", {"dt_sim": 3e-4}, "dt_data"),
+    ("reacdiff", {"horizon": 0.0}, "horizon"),
+    ("reacdiff", {"horizon": -0.2}, "horizon"),
+    ("reacdiff", {"horizon": 0.04}, "horizon"),
+    ("reacdiff", {"horizon": 0.25}, "horizon"),  # would be rounded to 0.2
     # would skip the warm-up and start the data at t=0
-    ({"t_init": 0.3}, "t_init must be at most 0, got 0.3"),
-    ({"horizon": -0.2}, "horizon must be at least dt_data (0.1), got -0.2"),
-    ({"horizon": 0.04}, "horizon must be at least dt_data (0.1), got 0.04"),
-], ids=["grid_0", "grid_1", "dt_sim_0", "dt_data_0", "dt_sim_negative", "dt_data_negative",
-        "t_init_positive", "horizon_negative", "horizon_below_dt_data"])
-def test_generate_reacdiff_grid_or_step_out_of_range_exits_2_and_writes_nothing(
-        tmp_path, capsys, dataset, message):
-    cfg = field_config(tmp_path, "reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1,
-                                              "grid": 8, "horizon": 0.2, **dataset})
+    ("reacdiff", {"t_init": 0.3}, "t_init"),
+    ("reacdiff", {"t_init": -0.00015}, "t_init"),  # would be rounded to 0
+    ("reacdiff", {"a": 25.0}, "dt_sim"),  # 4 dt_sim a = 0.1 > dx^2 = 0.082
+    ("wave", {"grid": 4}, "grid"),
+    ("wave", {"c": -1.0}, "c"),
+    ("wave", {"k": -1.0}, "k"),
+    ("wave", {"dt": 0.0}, "dt"),
+    ("wave", {"dt": -1e-3}, "dt"),
+    ("wave", {"n_steps": 0}, "n_steps"),
+    ("wave", {"sigma_lo": 0.0}, "sigma_lo"),
+    ("wave", {"sigma_lo": -5.0}, "sigma_lo"),
+    ("wave", {"sigma_lo": 50.0, "sigma_hi": 20.0}, "sigma_hi"),
+    ("wave", {"dt": 1.0}, "dt"),  # c dt = 330
+    ("wave", {"c": 870.0}, "dt"),  # c dt = 0.87
+]
+
+
+def dataset_config(tmp_path, system, dataset):
+    dataset = {**IN_RANGE_DATASETS[system], **dataset}
+    return (tiny_pendulum_config(tmp_path, dataset=dataset) if system == "pendulum"
+            else field_config(tmp_path, system, dataset))
+
+
+def first_refusing_rule(system, dataset):
+    params = {**DATASET_DEFAULTS[system], **IN_RANGE_DATASETS[system], **dataset}
+    return next((rule for rule in DATASET_RULES[system] if not rule[1](params)), None)
+
+
+def test_every_generator_keyword_has_a_rule_and_every_rule_refuses_a_case():
+    for system, generate in GENERATORS.items():
+        keywords = list(inspect.signature(generate).parameters)[1:]  # after the counts
+        keywords.remove("seed")
+        rules = DATASET_RULES[system]
+        assert sorted({key for key, _, _ in rules}) == sorted(keywords)
+        assert first_refusing_rule(system, {}) is None
+        refused = [first_refusing_rule(system, dataset)
+                   for case, dataset, _ in OUT_OF_RANGE_DATASETS if case == system]
+        assert set(rules) <= set(refused)
+
+
+@pytest.mark.parametrize("system,dataset,key", OUT_OF_RANGE_DATASETS,
+                         ids=[f"{system}-{'-'.join(f'{k}={v}' for k, v in dataset.items())}"
+                              for system, dataset, _ in OUT_OF_RANGE_DATASETS])
+def test_generate_out_of_range_dataset_value_exits_2_naming_its_key(tmp_path, capsys, system,
+                                                                    dataset, key):
+    assert first_refusing_rule(system, dataset)[0] == key
+    cfg = dataset_config(tmp_path, system, dataset)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
-    assert f"bad reacdiff dataset section: {message}" in capsys.readouterr().err
+    assert f"error: {system} dataset {key} must be " in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 
@@ -695,6 +758,11 @@ def test_train_bad_train_value_exits_2_and_writes_nothing(tmp_path, capsys, trai
     ({}, ["--seeds", "0,1,0"], "--seeds lists seed 0 twice"),
     ({}, ["--parallel", "0"], "--parallel must be at least 1, got 0"),
     ({}, ["--seeds", "1,2", "--parallel", "-3"], "--parallel must be at least 1, got -3"),
+    ({}, ["--seeds", ""], "--seeds '' lists no seed"),
+    ({"trian": {"n_epochs": 1}}, [], "unknown config key(s): trian"),
+    ({"downscale": {"datset": {"n_traj_per_split": 1}}}, ["--downscale"],
+     "unknown config key(s): datset"),
+    ({"name": 5}, [], "name must be null or a string, got 5"),
 ])
 def test_train_bad_physics_init_or_seed_exits_2_and_writes_nothing(tmp_path, capsys,
                                                                   overrides, flags, message):
@@ -704,6 +772,26 @@ def test_train_bad_physics_init_or_seed_exits_2_and_writes_nothing(tmp_path, cap
     assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
                  "--out", str(tmp_path / "run"), *flags]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("system,dataset,message", [
+    ("pendulum", {"alpha": 0.0}, "alpha: initial value 0.0 must be finite and exceed floor 0.0001"),
+    ("wave", {"k": 0.0}, "k: initial value 0.0 must be finite and exceed floor 1.0"),
+    ("wave", {"c": 0.5}, "c: initial value 0.5 must be finite and exceed floor 1.0"),
+], ids=["pendulum-alpha", "wave-k", "wave-c"])
+def test_train_true_physics_below_its_floor_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                       system, dataset, message):
+    cfg = dataset_config(tmp_path, system, dataset)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    cfg = json.loads(cfg.read_text())
+    cfg.update(physics="true", physics_init=None, augmentation="none", mode="vanilla",
+               train=TINY_TRAIN)
+    (tmp_path / "true.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "true.json"),
+                 "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]) == 2
+    assert f"physics 'true' cannot hold the data's parameters: {message}" in \
+        capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -738,7 +826,7 @@ def test_generate_with_no_sequences_in_any_split_exits_2_and_writes_nothing(
 
 def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, capsys):
     cfg = field_config(tmp_path, "wave", {"n_train": 1, "n_valid": 0, "n_test": 1,
-                                          "grid": 8, "c": 100000.0, "n_steps": 200})
+                                          "grid": 8, "k": 100000.0, "n_steps": 200})
     with np.errstate(all="ignore"):
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
     assert code == 3
