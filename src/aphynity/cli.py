@@ -226,7 +226,8 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config, args.downscale)
     seed = cfg["seed"] if args.seed is None else _check_seed(args.seed, "--seed")
     out = Path(args.out)
-    system, p = cfg["system"], {**DATASET_DEFAULTS[cfg["system"]], **cfg["dataset"]}
+    system = cfg["system"]
+    p = {**DATASET_DEFAULTS[system], **cfg["dataset"]}
     counts = (dict.fromkeys(SPLITS, p.pop("n_traj_per_split")) if system == "pendulum"
               else {split: p.pop(f"n_{split}") for split in SPLITS})
     try:

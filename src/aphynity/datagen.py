@@ -6,10 +6,10 @@ for the pendulum, fine-step explicit Euler for reaction-diffusion, and
 fine-step RK4 with a 4th-order Laplacian for the damped wave.  A generator
 takes ``{split: count}`` and its keywords, checks the keywords against its
 rule list (``check_dataset``, the one place that says which values a
-config's ``dataset`` key accepts), simulates every split in one run whose rows do
-not interact (the pendulum's in one lock-step batch, each trajectory with its
-own adaptive step control; the fields' in row chunks sized to stay in cache),
-and returns ``{split: Dataset}`` for each split with sequences.
+config's ``dataset`` key accepts), simulates every split in one run whose
+rows do not interact (the pendulum's in one lock-step batch, each trajectory
+with its own adaptive step control; the fields' in row chunks sized to stay
+in cache), and returns ``{split: Dataset}`` for each split with sequences.
 
 Per-trajectory RNG streams are derived from ``(seed, split, index)``, so
 neither the other splits nor the batch can change a sequence's data.
