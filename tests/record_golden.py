@@ -66,22 +66,21 @@ def _child(out: Path) -> None:
     import numpy as np
     from aphynity.cli import main
 
+    def run(*argv):
+        if main([str(arg) for arg in argv]):
+            raise SystemExit(f"failed: aphynity {' '.join(map(str, argv))}")
+
     with tempfile.TemporaryDirectory() as configs, contextlib.redirect_stdout(sys.stderr):
         for name, case in CASES.items():
             cfg = Path(configs) / f"{name}.json"
             cfg.write_text(json.dumps({"name": name, "mode": "aphynity", "seed": 0,
                                        "train": TRAIN, **case}))
-            data, run = out / name / "data", out / name / "run"
-            for argv in (["generate", "--out", str(data)],
-                         ["train", "--data", str(data), "--out", str(run)]):
-                if main([argv[0], "--config", str(cfg), *argv[1:]]):
-                    raise SystemExit(f"{name}: {argv[0]} failed")
-            if main(["evaluate", "--checkpoint", str(run / "checkpoint"),
-                     "--data", str(data / "test"), "--train-data", str(data / "train"),
-                     "--out", str(out / name / "eval")]):
-                raise SystemExit(f"{name}: evaluate failed")
-        if main(["report", "--results", str(out), "--out", str(out / "report")]):
-            raise SystemExit("report failed")
+            data, model = out / name / "data", out / name / "run"
+            run("generate", "--config", cfg, "--out", data)
+            run("train", "--config", cfg, "--data", data, "--out", model)
+            run("evaluate", "--checkpoint", model / "checkpoint", "--data", data / "test",
+                "--train-data", data / "train", "--out", out / name / "eval")
+        run("report", "--results", out, "--out", out / "report")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(json.dumps({"numpy": np.__version__,
                       "blas": f"{blas.get('name')} {blas.get('version')}",
