@@ -1,10 +1,14 @@
 """Golden SHA-256 digests of every file the pipeline writes.
 
 ``run_pipelines`` runs ``generate`` -> ``train`` -> ``evaluate`` -> ``report``
-at tiny sizes on four cases (a pendulum MLP, a circular reaction-diffusion
-ConvNet, a zero-padded wave ConvNet and a pendulum run on frozen true
-physics) in a child process with one BLAS thread, and ``digests`` hashes
-every file they wrote.  ``report.jsonl`` and ``summary.json`` are hashed
+at tiny sizes on eight cases in a child process with one BLAS thread, and
+``digests`` hashes every file they wrote.  The cases cover a pendulum MLP, a
+circular reaction-diffusion ConvNet, a zero-padded wave ConvNet, a pendulum
+MLP on frozen true physics, and the paths of ``fit`` that ``TRAIN`` leaves
+out: a model with nothing to train, the ``non_adaptive`` mode with SGD, the
+running constraint, gradient clipping and an early stop, and the ``vanilla``
+and ``derivative_supervision`` modes.  A case's ``train`` keys override
+``TRAIN``'s.  ``report.jsonl`` and ``summary.json`` are hashed
 without ``wall_time_s``, the one field that is not deterministic.
 
 ``tests/golden.json`` holds the digests with the numpy version and BLAS
@@ -47,6 +51,21 @@ CASES = {
                                  "n_steps": 4}},
     "pendulum-frozen-physics": {"system": "pendulum", "physics": "true",
                                 "augmentation": "mlp", "dataset": PENDULUM},
+    "pendulum-nothing-to-train": {"system": "pendulum", "physics": "true",
+                                  "augmentation": "none", "dataset": PENDULUM,
+                                  "train": {"lambda0": 2.0}},
+    "pendulum-non-adaptive-early-stop": {
+        "system": "pendulum", "mode": "non_adaptive", "physics": "incomplete",
+        "augmentation": "mlp", "physics_init": {"omega0_sq": 1.0}, "dataset": PENDULUM,
+        "train": {"n_epochs": 6, "n_iter": 2, "optimizer": "sgd", "tau1": 0.5,
+                  "lambda_eval": "running", "max_grad_norm": 1.0, "patience": 1,
+                  "max_steps": None}},
+    "pendulum-vanilla": {"system": "pendulum", "mode": "vanilla", "physics": "incomplete",
+                         "augmentation": "mlp", "physics_init": {"omega0_sq": 1.0},
+                         "dataset": PENDULUM},
+    "pendulum-derivative-supervision": {
+        "system": "pendulum", "mode": "derivative_supervision", "physics": "incomplete",
+        "augmentation": "mlp", "physics_init": {"omega0_sq": 1.0}, "dataset": PENDULUM},
 }
 
 
@@ -73,8 +92,8 @@ def _child(out: Path) -> None:
     with tempfile.TemporaryDirectory() as configs, contextlib.redirect_stdout(sys.stderr):
         for name, case in CASES.items():
             cfg = Path(configs) / f"{name}.json"
-            cfg.write_text(json.dumps({"name": name, "mode": "aphynity", "seed": 0,
-                                       "train": TRAIN, **case}))
+            cfg.write_text(json.dumps({"name": name, "mode": "aphynity", "seed": 0, **case,
+                                       "train": {**TRAIN, **case.get("train", {})}}))
             data, model = out / name / "data", out / name / "run"
             run("generate", "--config", cfg, "--out", data)
             run("train", "--config", cfg, "--data", data, "--out", model)
