@@ -83,24 +83,29 @@ def load_config(path, downscale: bool = False) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("the config must be a JSON object")
-    if downscale:
-        overrides = cfg.get("downscale")
-        if not overrides:
-            raise UsageError("config has no downscale section")
-        if not isinstance(overrides, dict):
-            raise UsageError(f"the downscale section must be a JSON object, got {overrides!r}")
-        cfg = copy.deepcopy(cfg)
-        for section, values in overrides.items():
-            if not isinstance(values, dict):
-                cfg[section] = values
-            elif isinstance(cfg.setdefault(section, {}), dict):
-                cfg[section].update(values)
-            else:
-                raise UsageError(f"downscale sets keys of the {section} section, "
-                                 f"which is not a JSON object")
-    cfg = {**copy.deepcopy(CONFIG_DEFAULTS), **cfg}
+    # a downscale section is checked on every load, and used only under the flag
+    overrides = cfg.get("downscale")
+    if downscale and not overrides:
+        raise UsageError("config has no downscale section")
+    if overrides and not isinstance(overrides, dict):
+        raise UsageError(f"the downscale section must be a JSON object, got {overrides!r}")
+    small = copy.deepcopy(cfg)
+    for section, values in (overrides or {}).items():
+        if not isinstance(values, dict):
+            small[section] = values
+        elif isinstance(small.setdefault(section, {}), dict):
+            small[section].update(values)
+        else:
+            raise UsageError(f"downscale sets keys of the {section} section, "
+                             f"which is not a JSON object")
+    cfg, small = ({**copy.deepcopy(CONFIG_DEFAULTS), **c} for c in (cfg, small))
     validate_config(cfg)
-    return cfg
+    if overrides:
+        try:
+            validate_config(small)
+        except UsageError as exc:
+            raise UsageError(f"bad downscale section: {exc}") from exc
+    return small if downscale else cfg
 
 
 GENERATORS = {"pendulum": gen_pendulum, "reacdiff": gen_reacdiff, "wave": gen_wave}

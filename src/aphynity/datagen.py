@@ -400,6 +400,8 @@ WAVE_RULES = (
     ("sigma_hi", lambda p: p["sigma_hi"] >= p["sigma_lo"], "at least sigma_lo"),
     # RK4 with the 4th-order Laplacian at dx = 1 is stable for c dt <= 2 sqrt(2) / sqrt(32 / 3)
     ("dt", lambda p: p["c"] * p["dt"] <= 0.866, "at most 0.866 / c, for a stable RK4 step"),
+    # the damping eigenvalue -k dt must stay in RK4's real interval, which ends near -2.785
+    ("dt", lambda p: p["k"] * p["dt"] <= 2.78, "at most 2.78 / k, for a stable RK4 step"),
 )
 
 

@@ -24,6 +24,9 @@ Ablation modes:
 * ``derivative_supervision`` - the trajectory loss is replaced by a pointwise
   match of the model output against finite-difference derivative estimates
   of the observed trajectories (same multiplier dynamics otherwise).
+
+A model with nothing to train (frozen physics, no residual) is scored once,
+in every mode, under that mode's constraint.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
 log = logging.getLogger("aphynity.training")
 
 MODES = ("aphynity", "vanilla", "derivative_supervision", "non_adaptive")
+_CLIMBING = ("aphynity", "derivative_supervision")     # the modes whose multiplier climbs
 
 
 @dataclass
@@ -223,20 +227,35 @@ class _Adam:
 # ---------------------------------------------------------------------------
 # the fit loop
 
-def _frozen_report(model, train, cfg, valid) -> TrainReport:
-    """Fully frozen model (reference equations): nothing to optimize, just score."""
-    started = time.perf_counter()
-    report = TrainReport(mode=cfg.mode)
-    cons = _eval_constraint(model, train, cfg.mode)
+def _record_epoch(report, model, train, valid, train_loss, started) -> EpochRecord:
+    """Append the next epoch's record at the report's lambda, scoring the
+    validation loss and |F_a|^2 over ``train``; return it."""
     valid_loss = _split_mse(model, valid, float("inf")) if valid is not None else None
+    fa_norm = residual_norm_sq(model, train) if model.augmentation is not None else None
     report.records.append(EpochRecord(
-        epoch=1, lam=cfg.lambda0, train_loss=cons, valid_loss=valid_loss,
-        fa_norm_sq=None, params=model.physical_param_values(),
+        epoch=len(report.records) + 1, lam=report.final_lambda, train_loss=train_loss,
+        valid_loss=valid_loss, fa_norm_sq=fa_norm, params=model.physical_param_values(),
         wall_time_s=time.perf_counter() - started))
-    report.final_lambda = cfg.lambda0
+    return report.records[-1]
+
+
+def _frozen_report(model, train, valid, report, started) -> TrainReport:
+    """Fully frozen model (reference equations): nothing to optimize, just score."""
+    _record_epoch(report, model, train, valid, _eval_constraint(model, train, report.mode),
+                  started)
     report.final_params = model.physical_param_values()
     report.wall_time_s = time.perf_counter() - started
     return report
+
+
+def _batches(rng, trajectories, batch_size, n_iter):
+    """One epoch's batches: ``n_iter`` sweeps, each in a permutation drawn as it starts."""
+    n_traj = trajectories.shape[0]
+    batch_size = min(batch_size or n_traj, n_traj)
+    for _ in range(n_iter):
+        order = rng.permutation(n_traj)
+        for lo in range(0, n_traj, batch_size):
+            yield trajectories[order[lo:lo + batch_size]]
 
 
 def _constraint_loss(model, batch, dt, mode):
@@ -268,81 +287,64 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
     ``train``/``valid`` are :class:`aphynity.datagen.Dataset` objects (or
     anything exposing their ``trajectories``, ``dt``, shape properties,
     ``all_states()`` and ``blocks()``); ``valid`` is only read block by
-    block.  Divergence (non-finite loss) aborts and is flagged on
-    the report rather than raised.  When early stopping triggers, parameters
-    are restored to the best-validation epoch.  Each epoch ends with no-grad
-    passes through metrics' streamed scorer (the ``full`` constraint and the
-    validation loss) and its residual pass (|F_a|^2 over ``train``).
+    block.  The report is the loop's state: its ``final_lambda``,
+    ``total_steps`` and ``best_epoch`` move as the loop runs.  Divergence
+    (non-finite loss) aborts and is flagged on the report rather than raised.
+    When early stopping triggers, parameters are restored to the
+    best-validation epoch.  Each epoch ends with no-grad passes through
+    metrics' streamed scorer (the ``full`` constraint and the validation
+    loss) and its residual pass (|F_a|^2 over ``train``).
     """
+    started = time.perf_counter()
+    report = TrainReport(mode=cfg.mode,
+                         final_lambda=cfg.lambda0 if cfg.mode in _CLIMBING else 1.0)
     if len(model.params) == 0:
-        if cfg.mode in ("vanilla", "derivative_supervision"):
-            raise ValueError(f"mode {cfg.mode!r} needs at least one trainable component")
-        return _frozen_report(model, train, cfg, valid)
+        return _frozen_report(model, train, valid, report, started)
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(model.params) if cfg.optimizer == "adam" else _Sgd(model.params)
-    report = TrainReport(mode=cfg.mode)
-    started = time.perf_counter()
 
-    use_norm_term = cfg.mode in ("aphynity", "derivative_supervision", "non_adaptive")
-    adaptive = cfg.mode in ("aphynity", "derivative_supervision")
-    lam = cfg.lambda0 if adaptive else 1.0
-
-    trajectories = train.trajectories
-    n_traj = trajectories.shape[0]
-    batch_size = min(cfg.batch_size or n_traj, n_traj)
-    n_states_total = trajectories.shape[0] * trajectories.shape[1]
-
+    use_norm_term = cfg.mode != "vanilla"
+    n_states_total = train.trajectories.shape[0] * train.trajectories.shape[1]
     best_valid = np.inf
     best_state = None
-    best_epoch = None
-    steps = 0
-    out_of_budget = False
 
     for epoch in range(1, cfg.n_epochs + 1):
         epoch_started = time.perf_counter()
         running: list[float] = []
-        for _ in range(cfg.n_iter):
-            order = rng.permutation(n_traj)
-            for lo in range(0, n_traj, batch_size):
-                idx = order[lo:lo + batch_size]
-                batch = trajectories[idx]
-                model.params.zero_grad()
-                norm_val = 0.0
-                if use_norm_term and model.augmentation is not None:
-                    # backpropagated before the rollout exists, so that the two
-                    # graphs are never alive together
-                    scale = n_states_total / (batch.shape[0] * batch.shape[1])
-                    norm_term = dc.smul(scale, augmentation_norm_sq(
-                        model.augmentation, batch.reshape(-1, *batch.shape[2:])))
-                    norm_val = float(norm_term.values)
-                    dc.backward(norm_term)
-                try:
-                    cons = _constraint_loss(model, batch, train.dt, cfg.mode)
-                except BlowUpError as exc:
-                    # the next zero_grad discards the norm term's gradients
-                    report.events.append({"kind": "blow_up", "epoch": epoch,
-                                          "detail": str(exc)})
-                    log.warning("epoch %d: rollout blew up, skipping batch (%s)",
-                                epoch, exc)
-                    continue
-                loss = dc.smul(lam, cons) if use_norm_term else cons
-                loss_val = float(loss.values) + norm_val
-                if not np.isfinite(loss_val):
-                    report.diverged = True
-                    report.events.append({"kind": "divergence", "epoch": epoch,
-                                          "loss": loss_val})
-                    log.error("epoch %d: loss is %s, aborting", epoch, loss_val)
-                    break
-                dc.backward(loss)
-                if cfg.max_grad_norm is not None:
-                    model.params.clip_grad_norm(cfg.max_grad_norm)
-                opt.step(cfg.tau1)
-                running.append(float(cons.values))
-                steps += 1
-                if cfg.max_steps is not None and steps >= cfg.max_steps:
-                    out_of_budget = True
-                    break
-            if report.diverged or out_of_budget:
+        for batch in _batches(rng, train.trajectories, cfg.batch_size, cfg.n_iter):
+            model.params.zero_grad()
+            norm_val = 0.0
+            if use_norm_term and model.augmentation is not None:
+                # backpropagated before the rollout exists, so that the two
+                # graphs are never alive together
+                scale = n_states_total / (batch.shape[0] * batch.shape[1])
+                norm_term = dc.smul(scale, augmentation_norm_sq(
+                    model.augmentation, batch.reshape(-1, *batch.shape[2:])))
+                norm_val = float(norm_term.values)
+                dc.backward(norm_term)
+            try:
+                cons = _constraint_loss(model, batch, train.dt, cfg.mode)
+            except BlowUpError as exc:
+                # the next zero_grad discards the norm term's gradients
+                report.events.append({"kind": "blow_up", "epoch": epoch,
+                                      "detail": str(exc)})
+                log.warning("epoch %d: rollout blew up, skipping batch (%s)", epoch, exc)
+                continue
+            loss = dc.smul(report.final_lambda, cons) if use_norm_term else cons
+            loss_val = float(loss.values) + norm_val
+            if not np.isfinite(loss_val):
+                report.diverged = True
+                report.events.append({"kind": "divergence", "epoch": epoch,
+                                      "loss": loss_val})
+                log.error("epoch %d: loss is %s, aborting", epoch, loss_val)
+                break
+            dc.backward(loss)
+            if cfg.max_grad_norm is not None:
+                model.params.clip_grad_norm(cfg.max_grad_norm)
+            opt.step(cfg.tau1)
+            running.append(float(cons.values))
+            report.total_steps += 1
+            if report.total_steps == cfg.max_steps:
                 break
         if report.diverged:
             break
@@ -351,42 +353,29 @@ def fit(model: AugmentedDynamics, train, cfg: TrainConfig, valid=None) -> TrainR
             cons_value = _eval_constraint(model, train, cfg.mode)
         else:
             cons_value = float(np.mean(running)) if running else np.nan
-        valid_loss = _split_mse(model, valid, float("inf")) if valid is not None else None
-        fa_norm = residual_norm_sq(model, train) if model.augmentation is not None else None
-
-        report.records.append(EpochRecord(
-            epoch=epoch, lam=lam, train_loss=cons_value, valid_loss=valid_loss,
-            fa_norm_sq=fa_norm, params=model.physical_param_values(),
-            wall_time_s=time.perf_counter() - epoch_started))
-
-        if adaptive and np.isfinite(cons_value):
-            lam = lam + cfg.tau2 * cons_value
+        record = _record_epoch(report, model, train, valid, cons_value, epoch_started)
+        if cfg.mode in _CLIMBING and np.isfinite(cons_value):
+            report.final_lambda += cfg.tau2 * cons_value
 
         if valid is not None and cfg.patience is not None:
-            if valid_loss < best_valid:
-                best_valid = valid_loss
+            if record.valid_loss < best_valid:
+                best_valid = record.valid_loss
                 best_state = model.params.state()
-                best_epoch = epoch
-            elif epoch - (best_epoch or 0) >= cfg.patience:
+                report.best_epoch = epoch
+            elif epoch - (report.best_epoch or 0) >= cfg.patience:
                 report.stopped_early = True
                 log.info("early stop at epoch %d (%s)", epoch, "no epoch improved"
-                         if best_epoch is None else f"best epoch {best_epoch}")
+                         if report.best_epoch is None else f"best epoch {report.best_epoch}")
                 break
-        if out_of_budget:
+        if report.total_steps == cfg.max_steps:
             break
 
     # the final parameters are those of a recorded epoch: the restored best
     # one, or else the last one, so its |F_a|^2 is already known
-    final_record = report.records[-1] if report.records else None
     if best_state is not None:
         model.params.load_state(best_state)
-        report.best_epoch = best_epoch
-        final_record = report.records[best_epoch - 1]
-
-    report.final_lambda = lam
+    if not report.diverged and report.records:
+        report.final_fa_norm_sq = report.records[(report.best_epoch or 0) - 1].fa_norm_sq
     report.final_params = model.physical_param_values()
-    report.total_steps = steps
-    if not report.diverged and final_record is not None:
-        report.final_fa_norm_sq = final_record.fa_norm_sq
     report.wall_time_s = time.perf_counter() - started
     return report

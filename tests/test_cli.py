@@ -617,6 +617,7 @@ OUT_OF_RANGE_DATASETS = [
     ("wave", {"sigma_lo": 50.0, "sigma_hi": 20.0}, "sigma_hi"),
     ("wave", {"dt": 1.0}, "dt"),  # c dt = 330
     ("wave", {"c": 870.0}, "dt"),  # c dt = 0.87
+    ("wave", {"k": 3000.0}, "dt"),  # k dt = 3
 ]
 
 
@@ -795,6 +796,21 @@ def test_train_true_physics_below_its_floor_exits_2_and_writes_nothing(tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("mode", ["vanilla", "derivative_supervision"])
+def test_train_with_nothing_to_train_scores_once_in_any_mode(tmp_path, mode):
+    cfg = tiny_pendulum_config(tmp_path, physics="true", physics_init=None,
+                               augmentation="none", mode=mode)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == 0
+    records = (tmp_path / "run" / "report.jsonl").read_text().splitlines()
+    assert len(records) == 1 and json.loads(records[0])["epoch"] == 1
+    assert not (tmp_path / "run" / ".partial").exists()
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--data", str(tmp_path / "data" / "test"),
+                 "--out", str(tmp_path / "eval")]) == 0
+
+
 @pytest.mark.parametrize("overrides,flags,message", [
     ({}, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ({"seed": -1}, [], "seed must be a non-negative integer, got -1"),
@@ -825,8 +841,11 @@ def test_generate_with_no_sequences_in_any_split_exits_2_and_writes_nothing(
 
 
 def test_generate_blowing_up_simulation_exits_3_and_keeps_partial(tmp_path, capsys):
-    cfg = field_config(tmp_path, "wave", {"n_train": 1, "n_valid": 0, "n_test": 1,
-                                          "grid": 8, "k": 100000.0, "n_steps": 200})
+    # reaction-diffusion's reaction terms are unbounded by its rules: with no
+    # diffusion, a 3.0 Euler step of u - u^3 - k - v throws every state off
+    cfg = field_config(tmp_path, "reacdiff", {"n_train": 1, "n_valid": 0, "n_test": 1,
+                                              "grid": 4, "a": 0.0, "b": 0.0, "dt_sim": 3.0,
+                                              "dt_data": 3.0, "horizon": 30.0, "t_init": 0.0})
     with np.errstate(all="ignore"):
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
     assert code == 3
@@ -873,6 +892,19 @@ def test_downscale_of_a_non_object_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data"),
                  "--downscale"]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"datset": {"n_traj_per_split": 1}}, "unknown config key(s): datset"),
+    ({"train": {"n_epoch": 1}}, "unexpected keyword argument 'n_epoch'"),
+])
+def test_downscale_typo_exits_2_without_the_flag_and_writes_nothing(tmp_path, capsys,
+                                                                    overrides, message):
+    cfg = tiny_pendulum_config(tmp_path, downscale=overrides)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "bad downscale section: " in err and message in err
     assert not (tmp_path / "data").exists()
 
 
